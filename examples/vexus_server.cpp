@@ -14,16 +14,21 @@
 //   --loops N     event-loop threads (SO_REUSEPORT listener group);
 //                 0 = min(4, hw threads)  (default 0)
 //   --users N     synthetic dataset size   (default 1500)
-//   --shards N    horizontal shards over the user universe (default 1):
-//                 shards the offline index build and every session's greedy
-//                 scatter-gather; byte-identical selections at any N.
 //   --selftest    bind an ephemeral port with two loops, run a scripted
 //                 client against ourselves (including a SIGTERM drain),
 //                 and exit — the mode the example smoke test runs in CI.
 //   --help        print usage and exit.
 //
-// Multi-box scatter-gather (DESIGN.md §16) adds three shapes:
+// Multi-box scatter-gather (DESIGN.md §16) is the one sharded evaluation
+// path; it adds four shapes:
 //
+//   bootstrap:    vexus_server --users 800 --shards 2 --save-snapshot f.snap
+//                 writes the generated store as a v3 snapshot with one
+//                 section per shard and exits. --shards (default 1, at most
+//                 64) only sets this section count; the universe clamps it
+//                 to its bitset-word count, and the line printed names the
+//                 count actually written. Without --save-snapshot it is a
+//                 usage error.
 //   backend:      vexus_server --shard-backend --shard-index 0/2
 //                     --snapshot store.snap --generation 7 --port 7801
 //                 cold-starts from ONE v3 snapshot section and serves
@@ -52,6 +57,7 @@
 
 #include <unistd.h>
 
+#include "common/shard_map.h"
 #include "common/thread_pool.h"
 #include "core/engine.h"
 #include "core/snapshot.h"
@@ -91,9 +97,6 @@ void PrintUsage(FILE* out) {
       "              kernel steers each connect to one of them.\n"
       "              0 = min(4, hw threads) (default 0)\n"
       "  --users N   synthetic dataset size (default 1500)\n"
-      "  --shards N  horizontal shards over the user universe (default 1);\n"
-      "              shards the index build and the greedy scatter-gather,\n"
-      "              selections stay byte-identical to --shards 1\n"
       "  --selftest  scripted self-check on an ephemeral port, then exit\n"
       "  --shard-backend     serve one snapshot shard section (needs\n"
       "                      --shard-index and --snapshot)\n"
@@ -102,6 +105,9 @@ void PrintUsage(FILE* out) {
       "  --save-snapshot PATH  write the generated store as a snapshot\n"
       "                      (one section per --shards shard) and exit —\n"
       "                      the file shard backends cold-start from\n"
+      "  --shards N          snapshot sections for --save-snapshot\n"
+      "                      (default 1, max 64; clamps to the universe's\n"
+      "                      64-user word count); only valid with it\n"
       "  --generation N      store generation fenced by eval_partial\n"
       "                      (default 1)\n"
       "  --backends H:P,...  coordinator mode: scatter greedy trial\n"
@@ -547,6 +553,7 @@ int main(int argc, char** argv) {
   uint64_t users = 1500;
   uint64_t loops = 0;  // 0 = auto (min(4, hw threads))
   uint64_t shards = 1;
+  bool shards_given = false;
   bool selftest = false;
   bool selftest_gather = false;
   bool shard_backend = false;
@@ -604,10 +611,11 @@ int main(int argc, char** argv) {
       if (!parse_uint(arg, 100'000'000, &value)) return 2;
       users = value;
     } else if (arg == "--shards") {
-      // Metrics report at most 64 per-shard counters; larger values would
-      // silently fold into the last slot, so reject them at the flag.
+      // Bounded like the fleet width of --shard-index: a section count no
+      // backend could be started for is a typo, not a deployment.
       if (!parse_uint(arg, 64, &value)) return 2;
       shards = value;
+      shards_given = true;
     } else if (arg == "--selftest") {
       selftest = true;
     } else if (arg == "--selftest-gather") {
@@ -666,6 +674,12 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--users must be positive\n");
     return 2;
   }
+  if (shards_given && save_snapshot_path.empty()) {
+    std::fprintf(stderr,
+                 "--shards sets the section count of --save-snapshot and "
+                 "needs it; a sharded fleet serves through --backends\n");
+    return 2;
+  }
   if (shard_backend) {
     if (fleet_width == 0) {
       std::fprintf(stderr, "--shard-backend needs --shard-index i/S\n");
@@ -681,10 +695,8 @@ int main(int argc, char** argv) {
   data_cfg.num_ratings = users * 7;
   vexus::mining::DiscoveryOptions discovery;
   discovery.min_support_fraction = 0.02;
-  vexus::index::InvertedIndex::Options index_opts;
-  index_opts.num_shards = shards;  // sharded co-occurrence/MinHash build
   auto engine_result = VexusEngine::Preprocess(
-      BookCrossingGenerator::Generate(data_cfg), discovery, index_opts);
+      BookCrossingGenerator::Generate(data_cfg), discovery, {});
   if (!engine_result.ok()) {
     std::fprintf(stderr, "preprocess failed: %s\n",
                  engine_result.status().ToString().c_str());
@@ -695,8 +707,8 @@ int main(int argc, char** argv) {
 
   // Fleet bootstrap: write the generated store as a snapshot (v3 with one
   // section per --shards shard) and exit — the file a --shard-backend
-  // cold-starts from. The same --users/--shards invocation then serves as
-  // the coordinator over those backends.
+  // cold-starts from. The same --users invocation with --backends then
+  // serves as the coordinator over those backends.
   if (!save_snapshot_path.empty()) {
     vexus::core::SnapshotSaveOptions save;
     save.num_shards = shards;
@@ -707,9 +719,13 @@ int main(int argc, char** argv) {
                    saved.ToString().c_str());
       return 1;
     }
-    std::printf("saved snapshot (%llu shard section%s) to %s\n",
-                static_cast<unsigned long long>(shards), shards == 1 ? "" : "s",
-                save_snapshot_path.c_str());
+    // The writer splits by ShardMap, which clamps the request to the
+    // universe's word count: report what the backends will find, so the
+    // --shard-index i/S an operator copies from here always loads.
+    const size_t sections =
+        vexus::ShardMap(engine.groups().num_users(), shards).num_shards();
+    std::printf("saved snapshot (%zu shard section%s) to %s\n", sections,
+                sections == 1 ? "" : "s", save_snapshot_path.c_str());
     return 0;
   }
 
@@ -719,7 +735,6 @@ int main(int argc, char** argv) {
   options.session_template.greedy.k = 5;
   options.session_template.greedy.time_limit_ms = 80;
   options.num_workers = 4;
-  options.num_shards = shards;  // scatter-gather greedy + per-shard stats
   // Declared before the service: the coordinator (owned by the service)
   // borrows this pool, so it must be destroyed after the service drains.
   std::unique_ptr<ThreadPool> gather_pool;

@@ -31,24 +31,4 @@ ShardMap::ShardMap(size_t num_users, size_t num_shards)
   VEXUS_CHECK(word == words);
 }
 
-size_t ShardMap::ShardOf(uint32_t user) const {
-  VEXUS_DCHECK(user < num_users_);
-  const size_t word = user / kWordBits;
-  // Words are dealt base/base+1: the first `extra` shards hold base+1.
-  const size_t words = ranges_.back().word_end;
-  const size_t shards = ranges_.size();
-  const size_t base = words / shards;
-  const size_t extra = words % shards;
-  size_t s;
-  if (base == 0) {
-    s = word;  // one word per shard, `words == shards` after clamping
-  } else if (word < extra * (base + 1)) {
-    s = word / (base + 1);
-  } else {
-    s = extra + (word - extra * (base + 1)) / base;
-  }
-  VEXUS_DCHECK(word >= ranges_[s].word_begin && word < ranges_[s].word_end);
-  return s;
-}
-
 }  // namespace vexus

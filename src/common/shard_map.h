@@ -1,22 +1,23 @@
-// ShardMap — the horizontal partitioning of the user universe (ROADMAP
-// item 2: "278,858 users fast" → "millions of users flat").
+// ShardMap — the horizontal partitioning of the user universe that snapshot
+// format v3 sections and the multi-box gather fleet share (DESIGN.md §15,
+// §16).
 //
 // Each shard owns a contiguous user-id range whose boundaries are multiples
 // of 64, i.e. whole 64-bit words of every Bitset over the universe. That
-// alignment is the load-bearing property: a popcount (or fused
-// AND/OR/ANDNOT popcount) over the whole universe equals the sum of the
-// same kernel applied to each shard's word subrange, *exactly* — integer
-// partials, not float partials — so per-shard scatter followed by a fold in
-// shard order reproduces the unsharded integers bit for bit. Every float
-// the greedy objective or the index builder derives from those integers is
-// then byte-identical across shard counts (the same argument that makes
+// alignment is the load-bearing property: a shard backend's slice store
+// (members ∩ its range, full-universe width) runs the same word-parallel
+// popcount kernels as the whole store, and because each member lives in
+// exactly one range, the per-shard *integer* partials sum to the
+// whole-universe counts exactly. The gather coordinator folds them in shard
+// order, so every float the greedy objective derives from them is
+// byte-identical to the single-process run (the same argument that makes
 // kernel tiers and sparse/dense forms interchangeable).
 //
 // The map is a pure function of (num_users, num_shards): words are dealt
 // out as evenly as possible (first `words % S` shards get one extra), and
 // the shard count is clamped so no shard is empty. Two processes given the
-// same pair compute the same boundaries — snapshot shard sections, the
-// scatter-gather greedy, and the serving layer's per-shard counters all
+// same pair compute the same boundaries — the snapshot writer, the shard
+// loader, and the gather coordinator's covered-fraction bookkeeping all
 // rely on that.
 #pragma once
 
@@ -57,9 +58,6 @@ class ShardMap {
 
   const Range& shard(size_t s) const { return ranges_[s]; }
   const std::vector<Range>& ranges() const { return ranges_; }
-
-  /// The shard owning `user` (which must be < num_users()).
-  size_t ShardOf(uint32_t user) const;
 
   bool operator==(const ShardMap&) const = default;
 

@@ -48,8 +48,8 @@ Result<std::vector<uint32_t>> EvalCoveragePartials(
   if (anchored) anchor_bits = store.group(*in.anchor).members().ToBitset();
 
   // Prefix/suffix union tables → rest(pos), exactly the SwapObjective
-  // rebuild (greedy_eval.cc) so the slice integers line up with the
-  // in-process shard partials.
+  // rebuild (greedy_eval.cc) so the slice integers sum to the coordinator's
+  // single-process counts.
   std::vector<Bitset> prefix(k + 1), suffix(k + 1), rest(k);
   prefix[0].Resize(n_users);
   prefix[0].ClearAll();

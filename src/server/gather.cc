@@ -134,6 +134,14 @@ GatherCoordinator::GatherCoordinator(
 
 GatherCoordinator::~GatherCoordinator() = default;
 
+bool GatherCoordinator::Fenced(size_t shard, const Response& resp) const {
+  return resp.status.ok() &&
+         (options_.generation == 0 ||
+          resp.generation == options_.generation) &&
+         (!resp.shard.has_value() || *resp.shard == shard) &&
+         (!resp.num_shards.has_value() || *resp.num_shards == shards_.size());
+}
+
 bool GatherCoordinator::CallShard(size_t shard, const Request& req,
                                   const Deadline& deadline,
                                   Response* resp_out) {
@@ -154,18 +162,9 @@ bool GatherCoordinator::CallShard(size_t shard, const Request& req,
         std::min(deadline.RemainingMillis(), options_.lap_budget_ms);
     Stopwatch lap;
     auto result = st.transport->Call(req, budget);
-    bool ok = false;
-    if (result.ok()) {
-      const Response& resp = result.ValueOrDie();
-      // Generation fencing: a backend mid-reload answers with a different
-      // store generation — its partials would mix universes, so it is a
-      // failed lap, not a fold input.
-      ok = resp.status.ok() &&
-           (options_.generation == 0 ||
-            resp.generation == options_.generation) &&
-           (!resp.shard.has_value() || *resp.shard == shard);
-    }
-    if (ok) {
+    // A reply that fails the fence (stale generation, wrong slot) is a
+    // failed lap, not a fold input.
+    if (result.ok() && Fenced(shard, result.ValueOrDie())) {
       std::lock_guard<std::mutex> lock(st.mu);
       st.breaker.RecordSuccess(NowMillis());
       ++st.ok_laps;
@@ -269,9 +268,9 @@ size_t GatherCoordinator::ProbeShards() {
       if (!st.breaker.AllowRequest(NowMillis())) continue;
     }
     auto result = st.transport->Call(req, options_.probe_budget_ms);
-    bool ok = result.ok() && result.ValueOrDie().status.ok() &&
-              (options_.generation == 0 ||
-               result.ValueOrDie().generation == options_.generation);
+    // Same fence as a scatter lap: a backend answering for another slot
+    // must not close this slot's breaker only to fail every real lap.
+    bool ok = result.ok() && Fenced(s, result.ValueOrDie());
     std::lock_guard<std::mutex> lock(st.mu);
     if (ok) {
       st.breaker.RecordSuccess(NowMillis());

@@ -194,6 +194,14 @@ class GatherCoordinator : public core::RemoteTrialScatterer {
  private:
   struct ShardState;
 
+  /// The identity fence every reply must pass before it counts as a
+  /// success — for scatter laps and breaker probes alike: an ok status, the
+  /// expected store generation (a mid-reload backend would mix universes),
+  /// and, when the reply names them, this slot's shard index and this
+  /// fleet's shard count (a backend wired to the wrong slot answers for
+  /// another user range).
+  bool Fenced(size_t shard, const Response& resp) const;
+
   /// Runs one shard's lap loop (retry + backoff + breaker) for `req`.
   /// Fills partials via `resp_out` on success.
   bool CallShard(size_t shard, const Request& req, const Deadline& deadline,

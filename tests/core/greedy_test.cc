@@ -9,9 +9,9 @@
 
 #include "common/bitset_kernels.h"
 #include "common/random.h"
-#include "common/shard_map.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
+#include "core/loopback_scatterer.h"
 
 namespace vexus::core {
 namespace {
@@ -488,38 +488,48 @@ TEST(GreedyTest, ExcludeSupersetsDropsAncestors) {
 TEST(GreedyTest, OutputByteIdenticalAcrossKernelTiers) {
   // The combined SIMD × sharding acceptance gate: greedy output must be
   // byte-identical under the scalar, AVX2, and AVX-512 kernel tiers AND
-  // under S ∈ {1, 2, 4, 8} horizontal shards (an identity matrix over both
-  // axes). Every kernel returns exact integers, shard boundaries are
-  // word-aligned so per-shard partials sum to the whole-universe integers
-  // exactly, and every float is derived from those integers in a fixed
-  // order — so not just the chosen groups but the objective's exact bit
-  // pattern, the evaluation count, and the swap count must agree.
+  // unsharded vs gathered over S ∈ {2, 4, 8} loopback shards (an identity
+  // matrix over both axes). Every kernel returns exact integers, shard
+  // boundaries are word-aligned so per-slice partials sum to the
+  // whole-universe integers exactly, and every float is derived from those
+  // integers in a fixed order — so not just the chosen groups but the
+  // objective's exact bit pattern, the evaluation count, and the swap count
+  // must agree. The loopback slices are scored on a shared pool (the scan
+  // pool too), so no scatter interleaving may change the pick.
   namespace bk = vexus::bitset_kernels;
   World w(50, 900, 21);
   FeedbackVector fb(w.tokens.get());
   GreedySelector sel(&w.store, w.index.get());
+  ThreadPool pool(4);
 
   struct Run {
     bk::Level level;
-    size_t num_shards;
+    size_t num_shards;  // 1 = unsharded (no scatterer)
     GreedySelection next;
     GreedySelection initial;
   };
   std::vector<Run> runs;
-  std::vector<ShardMap> maps;
-  maps.reserve(4);
-  for (size_t shards : {1u, 2u, 4u, 8u}) {
-    maps.emplace_back(900, shards);
+  std::vector<std::unique_ptr<LoopbackScatterer>> fleets;
+  for (size_t shards : {2u, 4u, 8u}) {
+    fleets.push_back(
+        std::make_unique<LoopbackScatterer>(w.store, shards, &pool));
+    ASSERT_EQ(fleets.back()->map().num_shards(), shards);
   }
   for (bk::Level level : {bk::Level::kScalar, bk::Level::kAvx2,
                           bk::Level::kAvx512}) {
     if (!bk::LevelSupported(level)) continue;
     bk::internal::SetLevelForTesting(level);
-    for (const ShardMap& map : maps) {
+    GreedyOptions plain = Unbounded(5);
+    runs.push_back({level, 1, sel.SelectNext(0, fb, plain),
+                    sel.SelectInitial(fb, plain)});
+    for (const auto& fleet : fleets) {
       GreedyOptions opt = Unbounded(5);
-      opt.shard_map = &map;
-      runs.push_back({level, map.num_shards(), sel.SelectNext(0, fb, opt),
-                      sel.SelectInitial(fb, opt)});
+      opt.scan_pool = &pool;
+      opt.remote_scatter = fleet.get();
+      const size_t before = fleet->scatters();
+      runs.push_back({level, fleet->map().num_shards(),
+                      sel.SelectNext(0, fb, opt), sel.SelectInitial(fb, opt)});
+      EXPECT_GT(fleet->scatters(), before) << "the gather path ran";
     }
     bk::internal::ResetLevelForTesting();
   }
@@ -538,38 +548,12 @@ TEST(GreedyTest, OutputByteIdenticalAcrossKernelTiers) {
     EXPECT_EQ(runs[i].next.evaluations, ref.next.evaluations);
     EXPECT_EQ(runs[i].next.passes, ref.next.passes);
     EXPECT_EQ(runs[i].next.swaps, ref.next.swaps);
+    EXPECT_EQ(runs[i].next.covered_fraction, 1.0);
     EXPECT_EQ(runs[i].initial.groups, ref.initial.groups);
     EXPECT_EQ(runs[i].initial.quality.objective,
               ref.initial.quality.objective);
     EXPECT_EQ(runs[i].initial.evaluations, ref.initial.evaluations);
-  }
-}
-
-TEST(GreedyTest, ShardedScanMatchesSerialWithParallelScatter) {
-  // The scatter may be scheduled across a shared pool in any interleaving;
-  // the gathered pick must still be byte-identical to the serial 1-shard
-  // run, and the per-shard counters must cover every shard.
-  World w(60, 1100, 33);
-  FeedbackVector fb(w.tokens.get());
-  GreedySelector sel(&w.store, w.index.get());
-  ThreadPool pool(4);
-  GreedySelection serial = sel.SelectNext(2, fb, Unbounded(5));
-  EXPECT_TRUE(serial.shard_evaluations.empty());
-  for (size_t shards : {2u, 4u, 8u}) {
-    SCOPED_TRACE(testing::Message() << "shards=" << shards);
-    ShardMap map(1100, shards);
-    GreedyOptions opt = Unbounded(5);
-    opt.shard_map = &map;
-    opt.scan_pool = &pool;
-    GreedySelection sharded = sel.SelectNext(2, fb, opt);
-    EXPECT_EQ(sharded.groups, serial.groups);
-    EXPECT_EQ(sharded.quality.objective, serial.quality.objective);
-    EXPECT_EQ(sharded.evaluations, serial.evaluations);
-    EXPECT_EQ(sharded.swaps, serial.swaps);
-    ASSERT_EQ(sharded.shard_evaluations.size(), map.num_shards());
-    for (uint64_t evals : sharded.shard_evaluations) {
-      EXPECT_GT(evals, 0u);
-    }
+    EXPECT_EQ(runs[i].initial.covered_fraction, 1.0);
   }
 }
 

@@ -4,9 +4,9 @@
 //   1. On a full store it reproduces the direct |cand ∩ anchor ∩ ¬rest|
 //      integers (the SwapObjective trial counts).
 //   2. On S slice stores (members restricted to word-aligned shard ranges)
-//      the per-slice partials sum to the full-store count AND match
-//      SwapObjective::TrialCoveragePartial over the same ShardMap — so a
-//      gather over backends folds to byte-identical selections.
+//      each partial is the direct count over that shard's users, and the
+//      per-slice partials sum to the full-store count — so a gather over
+//      backends folds to byte-identical selections.
 #include "core/partial_eval.h"
 
 #include <vector>
@@ -16,13 +16,11 @@
 #include "common/bitset.h"
 #include "common/random.h"
 #include "common/shard_map.h"
-#include "core/greedy_eval.h"
-#include "index/similarity.h"
+#include "core/loopback_scatterer.h"
 
 namespace vexus::core {
 namespace {
 
-using mining::GroupId;
 using mining::GroupStore;
 using mining::UserGroup;
 
@@ -38,22 +36,6 @@ GroupStore MakeStore(size_t n_groups, size_t n_users, uint64_t seed) {
                         std::move(members)));
   }
   return store;
-}
-
-/// The backend's store shape: full-universe width, members restricted to
-/// the shard's user range — exactly what LoadSnapshotShard produces.
-GroupStore SliceStore(const GroupStore& full, uint32_t begin, uint32_t end) {
-  GroupStore slice(full.num_users());
-  for (size_t g = 0; g < full.size(); ++g) {
-    Bitset bits = full.group(g).members().ToBitset();
-    Bitset restricted(full.num_users());
-    for (uint32_t u = begin; u < end; ++u) {
-      if (bits.Test(u)) restricted.Set(u);
-    }
-    slice.Add(UserGroup({{0, static_cast<data::ValueId>(g)}},
-                        std::move(restricted)));
-  }
-  return slice;
 }
 
 /// Direct (definitional) trial count on an arbitrary store.
@@ -123,9 +105,7 @@ TEST(PartialEvalTest, SlicePartialsSumToFullStoreCount) {
       ASSERT_TRUE(full.ok());
       std::vector<uint32_t> sum(full->size(), 0);
       for (size_t s = 0; s < num_shards; ++s) {
-        GroupStore slice =
-            SliceStore(store, static_cast<uint32_t>(map.shard(s).user_begin),
-                       static_cast<uint32_t>(map.shard(s).user_end));
+        GroupStore slice = SliceStore(store, map.shard(s));
         auto part = EvalCoveragePartials(slice, in);
         ASSERT_TRUE(part.ok()) << part.status().ToString();
         ASSERT_EQ(part->size(), full->size());
@@ -140,39 +120,25 @@ TEST(PartialEvalTest, SlicePartialsSumToFullStoreCount) {
   }
 }
 
-// The remote partials must be the *same integers* the in-process sharded
-// scan computes (SwapObjective::TrialCoveragePartial) — this is what makes
-// a gather fold byte-identical to the single-process sharded greedy.
+// Each slice's partial is the definitional count over that shard's users
+// alone — the same integer a single process would count inside the shard's
+// word range — so the gather fold reproduces the unsharded counts.
 TEST(PartialEvalTest, SliceMatchesInProcessShardPartials) {
   const size_t n_users = 448;  // 7 words, splits 4 ways word-aligned
   GroupStore store = MakeStore(18, n_users, 31);
   ShardMap map(n_users, 4);
   ASSERT_EQ(map.num_shards(), 4u);
 
-  std::vector<GroupId> pool(store.size());
-  for (size_t i = 0; i < pool.size(); ++i) pool[i] = static_cast<GroupId>(i);
-  std::vector<double> affinity(pool.size(), 0.0);
-  index::PairwiseSimCache sims(&store, &pool);
-  Bitset anchor = store.group(0).members().ToBitset();
-  SwapObjective::Config cfg;
-  cfg.shards = &map;
-  SwapObjective eval(&store, &pool, &anchor, &affinity, cfg, &sims);
-
-  PartialEvalInput in = MakeInput(store, /*anchored=*/true, 7);
-  std::vector<size_t> selected(in.selection.begin(), in.selection.end());
-  eval.Reset(selected);
-
-  for (size_t s = 0; s < map.num_shards(); ++s) {
-    GroupStore slice =
-        SliceStore(store, static_cast<uint32_t>(map.shard(s).user_begin),
-                   static_cast<uint32_t>(map.shard(s).user_end));
-    auto part = EvalCoveragePartials(slice, in);
-    ASSERT_TRUE(part.ok());
-    for (size_t t = 0; t < part->size(); ++t) {
-      size_t cand = in.trials[2 * t];  // pool position == gid here
-      size_t slot = in.trials[2 * t + 1];
-      EXPECT_EQ((*part)[t], eval.TrialCoveragePartial(slot, cand, s))
-          << "shard=" << s << " trial=" << t;
+  for (bool anchored : {false, true}) {
+    PartialEvalInput in = MakeInput(store, anchored, 7);
+    for (size_t s = 0; s < map.num_shards(); ++s) {
+      GroupStore slice = SliceStore(store, map.shard(s));
+      auto part = EvalCoveragePartials(slice, in);
+      ASSERT_TRUE(part.ok());
+      for (size_t t = 0; t < part->size(); ++t) {
+        EXPECT_EQ((*part)[t], DirectCount(slice, in, t))
+            << "anchored=" << anchored << " shard=" << s << " trial=" << t;
+      }
     }
   }
 }

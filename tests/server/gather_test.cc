@@ -391,6 +391,47 @@ TEST(GatherCoordinatorTest, ProbeShardsRecoversWithoutTraffic) {
   EXPECT_EQ(coord.ProbeShards(), 0u);  // closed shards are left alone
 }
 
+// A backend wired to the wrong slot (e.g. a swapped --backends order) fails
+// every scatter lap on the identity fence; its shard_info reply must fail
+// the same fence, or each health probe would close the breaker only for the
+// next real lap to trip it again.
+TEST(GatherCoordinatorTest, ProbeShardsFencesShardIdentity) {
+  struct Identity {
+    uint32_t shard;
+    uint32_t num_shards;
+  };
+  for (Identity wrong : {Identity{1, 2}, Identity{0, 4}}) {
+    SCOPED_TRACE(testing::Message() << "answers as " << wrong.shard << "/"
+                                    << wrong.num_shards);
+    std::vector<std::unique_ptr<ShardTransport>> transports;
+    transports.push_back(std::make_unique<ScriptedTransport>(
+        [wrong](const Request& req, double) -> Result<Response> {
+          Response resp;
+          resp.type = req.type;
+          resp.generation = 3;
+          resp.shard = wrong.shard;
+          resp.num_shards = wrong.num_shards;
+          resp.partials.assign(req.trials.size() / 2, 1);
+          return resp;
+        }));
+    transports.push_back(std::make_unique<ScriptedTransport>(Healthy(3, 1)));
+    GatherCoordinator::Options opts = FastOptions();
+    opts.breaker.cooldown_ms = 20;
+    GatherCoordinator coord(std::move(transports), opts);
+
+    auto out = coord.Scatter(std::nullopt, {1, 2}, SomeTrials(),
+                             Deadline::AfterMillis(500));
+    EXPECT_FALSE(out.shard_ok[0]);
+    EXPECT_TRUE(out.shard_ok[1]);
+    EXPECT_NE(coord.Membership()[0].state, CircuitBreaker::State::kClosed);
+
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    EXPECT_EQ(coord.ProbeShards(), 0u);
+    EXPECT_NE(coord.Membership()[0].state, CircuitBreaker::State::kClosed);
+    EXPECT_EQ(coord.Membership()[1].state, CircuitBreaker::State::kClosed);
+  }
+}
+
 TEST(GatherCoordinatorTest, MembershipJsonShape) {
   std::vector<std::unique_ptr<ShardTransport>> transports;
   transports.push_back(std::make_unique<ScriptedTransport>(Healthy(3, 0)));

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
@@ -16,6 +17,7 @@
 #include "core/engine.h"
 #include "core/snapshot.h"
 #include "data/generators/bookcrossing_gen.h"
+#include "server/gather.h"
 #include "server/json.h"
 
 namespace vexus::server {
@@ -208,14 +210,76 @@ TEST_F(ServiceTest, ParallelGreedyScanMatchesSerialService) {
   }
 }
 
+/// Forwards gather calls straight to a backend service's synchronous entry
+/// point — a shard link with no sockets.
+class InProcessShardLink : public ShardTransport {
+ public:
+  explicit InProcessShardLink(ExplorationService* backend)
+      : backend_(backend) {}
+  Result<Response> Call(const Request& req, double budget_ms) override {
+    Request copy = req;
+    copy.budget_ms = budget_ms;
+    return backend_->Call(std::move(copy));
+  }
+  void Reset() override {}
+  std::string address() const override { return "in-process"; }
+
+ private:
+  ExplorationService* backend_;
+};
+
+/// A healthy S-shard gather fleet over `engine`: one backend service per
+/// snapshot-v3 section, and a coordinator service (built with `opts`)
+/// whose sessions scatter every refinement pass across the backends.
+struct GatherFleet {
+  std::vector<std::unique_ptr<ExplorationService>> backends;
+  std::unique_ptr<ExplorationService> coordinator;
+};
+
+GatherFleet MakeGatherFleet(const core::VexusEngine* engine,
+                            size_t num_shards, ServiceOptions opts) {
+  constexpr uint64_t kGeneration = 1;
+  const std::string path = ::testing::TempDir() + "service_gather_s" +
+                           std::to_string(num_shards) + ".snap";
+  core::SnapshotSaveOptions save;
+  save.num_shards = num_shards;
+  save.sync = false;
+  EXPECT_TRUE(
+      core::SaveSnapshot(engine->groups(), engine->index(), path, save).ok());
+  GatherFleet fleet;
+  std::vector<std::unique_ptr<ShardTransport>> links;
+  for (size_t s = 0; s < num_shards; ++s) {
+    auto shard = core::LoadSnapshotShard(path, s);
+    EXPECT_TRUE(shard.ok()) << shard.status().ToString();
+    ServiceOptions bopts;
+    bopts.num_workers = 2;
+    fleet.backends.push_back(std::make_unique<ExplorationService>(
+        std::move(shard).ValueOrDie(), kGeneration, bopts));
+    links.push_back(
+        std::make_unique<InProcessShardLink>(fleet.backends.back().get()));
+  }
+  std::remove(path.c_str());
+  fleet.coordinator =
+      std::make_unique<ExplorationService>(engine, std::move(opts));
+  GatherCoordinator::Options gopts;
+  gopts.num_users = engine->groups().num_users();
+  gopts.generation = kGeneration;
+  // Identity legs must never lose a lap to a loaded test host.
+  gopts.lap_budget_ms = 1000;
+  fleet.coordinator->ConfigureGather(
+      std::make_unique<GatherCoordinator>(std::move(links), gopts));
+  return fleet;
+}
+
 TEST_F(ServiceTest, ShardedServiceScreensMatchUnshardedByteForByte) {
-  // ServiceOptions::num_shards routes every session's greedy through the
-  // scatter-gather evaluator. Coverage partials are exact integers over
-  // word-aligned shard ranges, so screens — ids, coverage, diversity bits —
-  // must be identical to the unsharded service at every shard count.
+  // The one sharded path: sessions on a gather coordinator fold the
+  // backends' integer coverage partials over word-aligned shard ranges, so
+  // screens — ids, coverage, diversity bits — must be identical to the
+  // unsharded service at every shard count.
   ServiceOptions base = FastOptions();
   base.session_template.greedy.time_limit_ms =
       core::GreedyOptions::kUnboundedTimeLimit;
+  base.dispatcher.default_budget_ms = 5000;
   ExplorationService unsharded(engine_, base);
   Response want = unsharded.Call(Start("u"));
   ASSERT_TRUE(want.status.ok());
@@ -224,11 +288,11 @@ TEST_F(ServiceTest, ShardedServiceScreensMatchUnshardedByteForByte) {
 
   for (size_t shards : {2u, 4u, 8u}) {
     SCOPED_TRACE(shards);
-    ServiceOptions opts = base;
-    opts.num_shards = shards;
-    ExplorationService svc(engine_, opts);
+    GatherFleet fleet = MakeGatherFleet(engine_, shards, base);
+    ExplorationService& svc = *fleet.coordinator;
     Response got = svc.Call(Start("s"));
     ASSERT_TRUE(got.status.ok());
+    EXPECT_FALSE(got.degraded.has_value());
     ASSERT_EQ(got.groups.size(), want.groups.size());
     for (size_t i = 0; i < got.groups.size(); ++i) {
       EXPECT_EQ(got.groups[i].id, want.groups[i].id);
@@ -238,6 +302,7 @@ TEST_F(ServiceTest, ShardedServiceScreensMatchUnshardedByteForByte) {
 
     Response got2 = svc.Call(Select("s", got.groups[0].id));
     ASSERT_TRUE(got2.status.ok());
+    EXPECT_FALSE(got2.degraded.has_value());
     ASSERT_EQ(got2.groups.size(), want2.groups.size());
     for (size_t i = 0; i < got2.groups.size(); ++i) {
       EXPECT_EQ(got2.groups[i].id, want2.groups[i].id);
@@ -248,50 +313,49 @@ TEST_F(ServiceTest, ShardedServiceScreensMatchUnshardedByteForByte) {
 }
 
 TEST_F(ServiceTest, GetStatsReportsPerShardEvaluationCounters) {
+  // Unbounded greedy budget: a lap cut short by the greedy deadline would
+  // count as a failed lap and make the counters below timing-dependent.
   ServiceOptions opts = FastOptions();
-  opts.num_shards = 4;
-  ExplorationService svc(engine_, opts);
+  opts.session_template.greedy.time_limit_ms =
+      core::GreedyOptions::kUnboundedTimeLimit;
+  opts.dispatcher.default_budget_ms = 5000;
+  GatherFleet fleet = MakeGatherFleet(engine_, 4, opts);
+  ExplorationService& svc = *fleet.coordinator;
   ASSERT_TRUE(svc.Call(Start("s")).status.ok());
+  ASSERT_GT(svc.Stats().greedy_passes, 0u) << "no pass was scattered";
 
-  // The metrics snapshot carries one counter per shard, and every shard
-  // participated in the start_session run's scatter (its partials cover the
-  // whole universe each rebuild, so no shard can sit at zero).
-  MetricsSnapshot snap = svc.Stats();
-  ASSERT_EQ(snap.shard_evaluations.size(), 4u);
-  uint64_t total = 0;
-  for (uint64_t v : snap.shard_evaluations) {
-    EXPECT_GT(v, 0u);
-    total += v;
-  }
-  EXPECT_GT(total, snap.greedy_evaluations);  // partials ≥ S per trial
-
-  // The wire view: get_stats serves a "shards" object with the same counts.
+  // get_stats serves a "gather" object with one membership row per shard,
+  // and every shard answered the start_session run's evaluation laps.
   std::string stats = svc.HandleLine("{\"op\":\"get_stats\"}");
   auto parsed = json::Parse(stats);
   ASSERT_TRUE(parsed.ok()) << stats;
   const json::Value* s = parsed->Find("stats");
   ASSERT_NE(s, nullptr);
-  const json::Value* sh = s->Find("shards");
-  ASSERT_NE(sh, nullptr) << stats;
-  EXPECT_EQ(sh->GetNumber("count", -1), 4.0);
-  const json::Value* evals = sh->Find("evaluations");
-  ASSERT_NE(evals, nullptr);
-  ASSERT_TRUE(evals->is_array());
-  ASSERT_EQ(evals->AsArray().size(), 4u);
-  for (size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(evals->AsArray()[i].AsDouble(),
-              static_cast<double>(snap.shard_evaluations[i]));
+  const json::Value* gather = s->Find("gather");
+  ASSERT_NE(gather, nullptr) << stats;
+  EXPECT_EQ(gather->GetNumber("num_shards", -1), 4.0);
+  EXPECT_EQ(gather->GetNumber("unhealthy_shards", -1), 0.0);
+  const json::Value* rows = gather->Find("shards");
+  ASSERT_NE(rows, nullptr);
+  ASSERT_TRUE(rows->is_array());
+  ASSERT_EQ(rows->AsArray().size(), 4u);
+  double next_begin = 0;
+  for (const json::Value& row : rows->AsArray()) {
+    EXPECT_GT(row.GetNumber("ok_laps", -1), 0.0) << stats;
+    EXPECT_EQ(row.GetNumber("failed_laps", -1), 0.0) << stats;
+    EXPECT_EQ(row.GetNumber("user_begin", -1), next_begin) << stats;
+    next_begin = row.GetNumber("user_end", -1);
   }
+  EXPECT_EQ(next_begin, static_cast<double>(engine_->groups().num_users()));
 }
 
 TEST_F(ServiceTest, UnshardedServiceOmitsShardCounters) {
   ExplorationService svc(engine_, FastOptions());
   ASSERT_TRUE(svc.Call(Start("s")).status.ok());
-  EXPECT_TRUE(svc.Stats().shard_evaluations.empty());
   std::string stats = svc.HandleLine("{\"op\":\"get_stats\"}");
   auto parsed = json::Parse(stats);
   ASSERT_TRUE(parsed.ok()) << stats;
-  EXPECT_EQ(parsed->Find("stats")->Find("shards"), nullptr) << stats;
+  EXPECT_EQ(parsed->Find("stats")->Find("gather"), nullptr) << stats;
 }
 
 TEST_F(ServiceTest, ZeroBudgetIsDeadlineExceededWithoutTouchingGreedy) {
