@@ -557,6 +557,32 @@ TEST(GreedyTest, OutputByteIdenticalAcrossKernelTiers) {
   }
 }
 
+TEST(GreedyTest, ShardedScanMatchesSerialWithParallelScatter) {
+  // The loopback slices may be scored across a shared pool in any
+  // interleaving; the gathered pick must still be byte-identical to the
+  // serial unsharded run, on a world and anchor other than the tier gate's.
+  World w(60, 1100, 33);
+  FeedbackVector fb(w.tokens.get());
+  GreedySelector sel(&w.store, w.index.get());
+  ThreadPool pool(4);
+  GreedySelection serial = sel.SelectNext(2, fb, Unbounded(5));
+  for (size_t shards : {2u, 4u, 8u}) {
+    SCOPED_TRACE(testing::Message() << "shards=" << shards);
+    LoopbackScatterer fleet(w.store, shards, &pool);
+    ASSERT_EQ(fleet.map().num_shards(), shards);
+    GreedyOptions opt = Unbounded(5);
+    opt.scan_pool = &pool;
+    opt.remote_scatter = &fleet;
+    GreedySelection sharded = sel.SelectNext(2, fb, opt);
+    EXPECT_GT(fleet.scatters(), 0u) << "the gather path ran";
+    EXPECT_EQ(sharded.groups, serial.groups);
+    EXPECT_EQ(sharded.quality.objective, serial.quality.objective);
+    EXPECT_EQ(sharded.evaluations, serial.evaluations);
+    EXPECT_EQ(sharded.swaps, serial.swaps);
+    EXPECT_EQ(sharded.covered_fraction, 1.0);
+  }
+}
+
 TEST(GreedyTest, LambdaExtremesChangeSelections) {
   World w(40, 400, 11);
   FeedbackVector fb(w.tokens.get());
