@@ -1,4 +1,4 @@
-// bench_snapshot_coldstart — the cold-start story behind snapshot v2.
+// bench_snapshot_coldstart — the cold-start story behind the snapshot.
 //
 // Fig. 1 splits VEXUS into an offline pipeline and interactive modules; a
 // deployment mines once, snapshots, and brings serving processes up from the
@@ -8,15 +8,18 @@
 //   1. preprocess   serial vs parallel DiscoverGroups + InvertedIndex::Build
 //                   (the fold discipline promises byte-identical output — the
 //                   harness hashes both worlds and asserts it)
-//   2. save         format v1 (legacy per-member u32) vs v2 (varint-delta /
-//                   raw-bitset blocks + CRC trailer): bytes, bytes/group, ms
-//   3. load         v1 vs v2 parse time (median of N trials)
+//   2. save         one group section (format v2) vs 4 per-shard sections
+//                   (v3) of the same store: bytes, bytes/group, ms
+//   3. load         full-file load of each (median of N trials); both must
+//                   give back the saved store, digest for digest
 //   4. warm-up      VexusEngine::FromSnapshot end-to-end (load + catalog
 //                   rebuild + graph), the number an operator actually waits
 //
-// Acceptance (ISSUE 4): at full scale v2 must load ≥5× faster and be ≥3×
-// smaller than v1. Emits BENCH_snapshot_coldstart.json (path overridable via
-// the first non-flag arg) so the numbers are a committed artifact.
+// Gates: parallel preprocess is byte-identical to serial, and both loads
+// reproduce the saved store (smoke and full scale); at full scale the
+// 4-section load also takes at most 2x the one-section load, since both run
+// the same decoder. Emits BENCH_snapshot_coldstart.json (path overridable
+// via the first non-flag arg) so the numbers are a committed artifact.
 //
 // Run:  ./build/bench/bench_snapshot_coldstart [--smoke] [out.json]
 
@@ -39,11 +42,11 @@ using namespace vexus::bench;
 namespace {
 
 /// Order-sensitive digest of everything a snapshot persists: group
-/// descriptions, member bitsets, posting lists. Two engines with equal
-/// digests went through byte-identical discovery + index builds.
-uint64_t EngineDigest(const core::VexusEngine& engine) {
+/// descriptions, member bitsets, posting lists. Equal digests mean
+/// byte-identical discovery + index builds, or a lossless round trip.
+uint64_t Digest(const mining::GroupStore& store,
+                const index::InvertedIndex& idx) {
   uint64_t h = 0xcbf29ce484222325ULL;
-  const mining::GroupStore& store = engine.groups();
   h = HashCombine(h, store.size());
   for (mining::GroupId g = 0; g < store.size(); ++g) {
     const mining::UserGroup& grp = store.group(g);
@@ -55,7 +58,6 @@ uint64_t EngineDigest(const core::VexusEngine& engine) {
     // word hash whichever representation the group is stored in).
     h = HashCombine(h, grp.members().Hash());
   }
-  const index::InvertedIndex& idx = engine.index();
   h = HashCombine(h, idx.num_groups());
   for (mining::GroupId g = 0; g < idx.num_groups(); ++g) {
     for (const index::Neighbor& n : idx.Neighbors(g)) {
@@ -84,9 +86,9 @@ core::VexusEngine Build(data::Dataset dataset, size_t threads) {
   // The serving tier keeps the top of the group lattice resident — the
   // broad, dense groups every exploration step touches first. That profile
   // (member mass concentrated in groups above ~1/8 density, where the raw
-  // bitset block is smaller than any per-member list) is exactly where
-  // v1's u32-per-member encoding explodes and v2's raw blocks win; the
-  // long sparse tail is mined on demand, not served from the snapshot.
+  // bitset block is smaller than any per-member list) is where the raw
+  // member blocks carry the load; the long sparse tail is mined on demand,
+  // not served from the snapshot.
   dopt.min_support_fraction = 0.12;
   dopt.num_threads = threads;
   index::InvertedIndex::Options iopt;
@@ -111,11 +113,12 @@ int main(int argc, char** argv) {
 
   const uint32_t users = smoke ? 8000 : 278858;  // paper's BOOKCROSSING |U|
   const int trials = smoke ? 3 : 5;
+  constexpr size_t kSections = 4;
 
   Banner("bench_snapshot_coldstart",
-         "snapshot v2 (varint/raw-bitset blocks + CRC trailer) loads >=5x "
-         "faster and is >=3x smaller than v1; parallel preprocess is "
-         "byte-identical to serial");
+         "a 4-section snapshot loads the same store as the one-section file, "
+         "in at most 2x its load time; parallel preprocess is byte-identical "
+         "to serial");
   std::printf("scale: %u users (%s)\n\n", users, smoke ? "smoke" : "full");
 
   // --- 1. Preprocess: serial vs parallel, identical output.
@@ -129,9 +132,9 @@ int main(int argc, char** argv) {
       Build(data::BookCrossingGenerator::Generate(BxConfig(users)), 0);
   double preprocess_parallel_ms = sw2.ElapsedMillis();
 
-  uint64_t serial_digest = EngineDigest(serial);
-  uint64_t parallel_digest = EngineDigest(parallel);
-  bool identical = serial_digest == parallel_digest;
+  const uint64_t serial_digest = Digest(serial.groups(), serial.index());
+  const bool identical =
+      serial_digest == Digest(parallel.groups(), parallel.index());
   std::printf("preprocess: serial %.0f ms | parallel %.0f ms (%.2fx) | "
               "digests %s\n",
               preprocess_serial_ms, preprocess_parallel_ms,
@@ -139,70 +142,68 @@ int main(int argc, char** argv) {
               identical ? "IDENTICAL" : "DIFFER (BUG)");
   std::printf("%s\n\n", serial.Summary().c_str());
   const uint64_t num_groups = serial.groups().size();
+  const double groups_div =
+      static_cast<double>(std::max<uint64_t>(1, num_groups));
 
-  // --- 2./3. Save + load, both formats.
-  const std::string v1_path = "bench_coldstart_v1.snapshot";
-  const std::string v2_path = "bench_coldstart_v2.snapshot";
+  // --- 2./3. Save + load: one group section vs kSections.
+  const std::string one_path = "bench_coldstart_one_section.snapshot";
+  const std::string sec_path = "bench_coldstart_sectioned.snapshot";
 
-  core::SnapshotSaveOptions save_v1;
-  save_v1.version = 1;
+  // sync = false: the durability fsyncs would time the disk, not the codec.
+  core::SnapshotSaveOptions save_one;  // num_shards = 1: format v2
+  save_one.sync = false;
   sw = Stopwatch();
-  Status st = core::SaveSnapshot(serial.groups(), serial.index(), v1_path,
-                                 save_v1);
-  double save_v1_ms = sw.ElapsedMillis();
+  Status st =
+      core::SaveSnapshot(serial.groups(), serial.index(), one_path, save_one);
+  double save_one_ms = sw.ElapsedMillis();
   VEXUS_CHECK(st.ok()) << st.ToString();
 
-  core::SnapshotSaveOptions save_v2;  // version = 2 is the default
+  core::SnapshotSaveOptions save_sec = save_one;
+  save_sec.num_shards = kSections;
   sw = Stopwatch();
-  st = core::SaveSnapshot(serial.groups(), serial.index(), v2_path, save_v2);
-  double save_v2_ms = sw.ElapsedMillis();
+  st = core::SaveSnapshot(serial.groups(), serial.index(), sec_path, save_sec);
+  double save_sec_ms = sw.ElapsedMillis();
   VEXUS_CHECK(st.ok()) << st.ToString();
 
-  uint64_t v1_bytes = FileBytes(v1_path);
-  uint64_t v2_bytes = FileBytes(v2_path);
+  uint64_t one_bytes = FileBytes(one_path);
+  uint64_t sec_bytes = FileBytes(sec_path);
 
-  std::vector<double> v1_load, v2_load;
+  std::vector<double> one_load, sec_load;
+  bool round_trip = true;
   for (int t = 0; t < trials; ++t) {
     sw = Stopwatch();
-    auto s1 = core::LoadSnapshot(v1_path);
-    v1_load.push_back(sw.ElapsedMillis());
-    VEXUS_CHECK(s1.ok()) << s1.status().ToString();
+    auto one = core::LoadSnapshot(one_path);
+    one_load.push_back(sw.ElapsedMillis());
+    VEXUS_CHECK(one.ok()) << one.status().ToString();
 
     sw = Stopwatch();
-    auto s2 = core::LoadSnapshot(v2_path);
-    v2_load.push_back(sw.ElapsedMillis());
-    VEXUS_CHECK(s2.ok()) << s2.status().ToString();
+    auto sec = core::LoadSnapshot(sec_path);
+    sec_load.push_back(sw.ElapsedMillis());
+    VEXUS_CHECK(sec.ok()) << sec.status().ToString();
     if (t == 0) {
-      VEXUS_CHECK(s1->groups.size() == num_groups &&
-                  s2->groups.size() == num_groups)
-          << "snapshot round-trip lost groups";
+      round_trip = Digest(one->groups, one->index) == serial_digest &&
+                   Digest(sec->groups, sec->index) == serial_digest;
     }
   }
-  double v1_load_ms = MedianMs(v1_load);
-  double v2_load_ms = MedianMs(v2_load);
+  double one_load_ms = MedianMs(one_load);
+  double sec_load_ms = MedianMs(sec_load);
+  double load_ratio = one_load_ms <= 0 ? 0 : sec_load_ms / one_load_ms;
 
-  double size_ratio =
-      v2_bytes == 0 ? 0 : static_cast<double>(v1_bytes) /
-                              static_cast<double>(v2_bytes);
-  double load_speedup = v2_load_ms <= 0 ? 0 : v1_load_ms / v2_load_ms;
-
-  std::printf("save: v1 %8llu bytes (%.1f B/group, %.0f ms) | "
-              "v2 %8llu bytes (%.1f B/group, %.0f ms) | v1/v2 = %.2fx\n",
-              static_cast<unsigned long long>(v1_bytes),
-              static_cast<double>(v1_bytes) /
-                  static_cast<double>(std::max<uint64_t>(1, num_groups)),
-              save_v1_ms, static_cast<unsigned long long>(v2_bytes),
-              static_cast<double>(v2_bytes) /
-                  static_cast<double>(std::max<uint64_t>(1, num_groups)),
-              save_v2_ms, size_ratio);
-  std::printf("load: v1 %.2f ms | v2 %.2f ms | speedup %.2fx "
-              "(median of %d)\n\n",
-              v1_load_ms, v2_load_ms, load_speedup, trials);
+  std::printf("save: 1 section %8llu bytes (%.1f B/group, %.1f ms) | "
+              "%zu sections %8llu bytes (%.1f B/group, %.1f ms)\n",
+              static_cast<unsigned long long>(one_bytes),
+              static_cast<double>(one_bytes) / groups_div, save_one_ms,
+              kSections, static_cast<unsigned long long>(sec_bytes),
+              static_cast<double>(sec_bytes) / groups_div, save_sec_ms);
+  std::printf("load: 1 section %.3f ms | %zu sections %.3f ms | ratio %.2fx "
+              "(median of %d) | round trip %s\n\n",
+              one_load_ms, kSections, sec_load_ms, load_ratio, trials,
+              round_trip ? "IDENTICAL" : "DIFFERS (BUG)");
 
   // --- 4. End-to-end warm-up: dataset + snapshot -> serving engine.
   data::Dataset fresh = data::BookCrossingGenerator::Generate(BxConfig(users));
   sw = Stopwatch();
-  auto warmed = core::VexusEngine::FromSnapshot(&fresh, v2_path);
+  auto warmed = core::VexusEngine::FromSnapshot(&fresh, one_path);
   double warm_ms = sw.ElapsedMillis();
   VEXUS_CHECK(warmed.ok()) << warmed.status().ToString();
   VEXUS_CHECK(warmed->groups().size() == num_groups);
@@ -211,12 +212,16 @@ int main(int argc, char** argv) {
               warm_ms, preprocess_serial_ms,
               preprocess_serial_ms / std::max(1.0, warm_ms));
 
-  bool pass_size = size_ratio >= 3.0;
-  bool pass_load = load_speedup >= 5.0;
-  std::printf("acceptance: size >=3x %s | load >=5x %s | parallel identical "
-              "%s\n",
-              pass_size ? "PASS" : "FAIL", pass_load ? "PASS" : "FAIL",
-              identical ? "PASS" : "FAIL");
+  constexpr double kMaxLoadRatio = 2.0;
+  // Sub-millisecond smoke loads make the ratio timing noise, so it gates at
+  // full scale only; the committed artifact is the full-scale run.
+  const bool pass_ratio = load_ratio <= kMaxLoadRatio;
+  std::printf("acceptance: round trip identical %s | parallel identical %s | "
+              "%zu-section load <=%.0fx %s%s\n",
+              round_trip ? "PASS" : "FAIL", identical ? "PASS" : "FAIL",
+              kSections, kMaxLoadRatio, pass_ratio ? "PASS" : "FAIL",
+              smoke ? " (not gated in smoke)" : "");
+  const bool pass = round_trip && identical && (smoke || pass_ratio);
 
   server::json::Object out;
   out.emplace_back("bench",
@@ -229,28 +234,28 @@ int main(int argc, char** argv) {
   out.emplace_back("preprocess_parallel_ms",
                    server::json::Value(preprocess_parallel_ms));
   out.emplace_back("parallel_identical", server::json::Value(identical));
-  out.emplace_back("v1_bytes", server::json::Value(v1_bytes));
-  out.emplace_back("v2_bytes", server::json::Value(v2_bytes));
-  out.emplace_back("v1_bytes_per_group",
-                   server::json::Value(
-                       static_cast<double>(v1_bytes) /
-                       static_cast<double>(std::max<uint64_t>(1, num_groups))));
-  out.emplace_back("v2_bytes_per_group",
-                   server::json::Value(
-                       static_cast<double>(v2_bytes) /
-                       static_cast<double>(std::max<uint64_t>(1, num_groups))));
-  out.emplace_back("size_ratio_v1_over_v2", server::json::Value(size_ratio));
-  out.emplace_back("save_v1_ms", server::json::Value(save_v1_ms));
-  out.emplace_back("save_v2_ms", server::json::Value(save_v2_ms));
-  out.emplace_back("load_v1_ms_median", server::json::Value(v1_load_ms));
-  out.emplace_back("load_v2_ms_median", server::json::Value(v2_load_ms));
-  out.emplace_back("load_speedup_v1_over_v2",
-                   server::json::Value(load_speedup));
+  out.emplace_back("sections", server::json::Value(uint64_t{kSections}));
+  out.emplace_back("one_section_bytes", server::json::Value(one_bytes));
+  out.emplace_back("sectioned_bytes", server::json::Value(sec_bytes));
+  out.emplace_back("one_section_bytes_per_group",
+                   server::json::Value(static_cast<double>(one_bytes) /
+                                       groups_div));
+  out.emplace_back("sectioned_bytes_per_group",
+                   server::json::Value(static_cast<double>(sec_bytes) /
+                                       groups_div));
+  out.emplace_back("save_one_section_ms", server::json::Value(save_one_ms));
+  out.emplace_back("save_sectioned_ms", server::json::Value(save_sec_ms));
+  out.emplace_back("load_one_section_ms_median",
+                   server::json::Value(one_load_ms));
+  out.emplace_back("load_sectioned_ms_median",
+                   server::json::Value(sec_load_ms));
+  out.emplace_back("load_ratio_sectioned_over_one",
+                   server::json::Value(load_ratio));
+  out.emplace_back("round_trip_identical", server::json::Value(round_trip));
   out.emplace_back("from_snapshot_warm_ms", server::json::Value(warm_ms));
-  out.emplace_back("accept_size_ratio_min", server::json::Value(3.0));
-  out.emplace_back("accept_load_speedup_min", server::json::Value(5.0));
-  out.emplace_back("pass",
-                   server::json::Value(pass_size && pass_load && identical));
+  out.emplace_back("accept_load_ratio_max",
+                   server::json::Value(kMaxLoadRatio));
+  out.emplace_back("pass", server::json::Value(pass));
   std::string json = server::json::Value(std::move(out)).Dump();
   std::printf("JSON %s\n", json.c_str());
 
@@ -261,14 +266,7 @@ int main(int argc, char** argv) {
   } else {
     std::printf("WARN: could not open %s for writing\n", out_path);
   }
-  std::remove(v1_path.c_str());
-  std::remove(v2_path.c_str());
-
-  // Smoke mode is a CI health check: sub-50us loads make the speedup ratio
-  // timing noise, so only the scale-independent claims gate — parallel
-  // preprocess must be byte-identical and v2 must still be >=3x smaller.
-  // Load-speedup acceptance is judged on the committed full-scale artifact.
-  bool structural = pass_size && identical;
-  return smoke ? (structural ? 0 : 1)
-               : (structural && pass_load ? 0 : 1);
+  std::remove(one_path.c_str());
+  std::remove(sec_path.c_str());
+  return pass ? 0 : 1;
 }

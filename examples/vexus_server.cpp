@@ -407,6 +407,10 @@ int RunGatherSelfTest(VexusEngine& engine) {
   copts.session_template.greedy.k = 5;
   copts.session_template.greedy.time_limit_ms = 500;
   copts.num_workers = 2;
+  // The kill leg's slow gather laps would otherwise escalate the overload
+  // ladder, and a screen served before it steps back down reports
+  // degraded:"effort" — which says nothing about the breaker under test.
+  copts.dispatcher.overload.enabled = false;
   ExplorationService coordinator(&engine, copts);
   {
     std::vector<std::pair<std::string, uint16_t>> addrs;
@@ -425,14 +429,26 @@ int RunGatherSelfTest(VexusEngine& engine) {
     start.budget_ms = 2000;
     return svc.Call(start);
   };
+  // What a failure message shows of a screen.
+  auto describe = [](const Response& r) {
+    char coverage[32] = "<unset>";
+    if (r.covered_fraction.has_value()) {
+      std::snprintf(coverage, sizeof(coverage), "%.3f", *r.covered_fraction);
+    }
+    return "status=" + r.status.ToString() +
+           " degraded=" + r.degraded.value_or("<unset>") +
+           " covered_fraction=" + coverage;
+  };
   Response gathered = screen_of(coordinator, "gather-a");
   Response local = screen_of(reference, "local-a");
   if (!gathered.status.ok() || !local.status.ok() ||
       gathered.groups.size() != local.groups.size() ||
       gathered.groups.empty()) {
-    std::fprintf(stderr, "selftest-gather: healthy screens failed (%s / %s)\n",
-                 gathered.status.ToString().c_str(),
-                 local.status.ToString().c_str());
+    std::fprintf(stderr,
+                 "selftest-gather: healthy screens failed (gathered %s, "
+                 "%zu groups / local %s, %zu groups)\n",
+                 describe(gathered).c_str(), gathered.groups.size(),
+                 describe(local).c_str(), local.groups.size());
     cleanup();
     return 1;
   }
@@ -449,7 +465,9 @@ int RunGatherSelfTest(VexusEngine& engine) {
     }
   }
   if (gathered.degraded.has_value()) {
-    std::fprintf(stderr, "selftest-gather: healthy run reported degraded\n");
+    std::fprintf(stderr,
+                 "selftest-gather: healthy run reported degraded (%s)\n",
+                 describe(gathered).c_str());
     cleanup();
     return 1;
   }
@@ -464,8 +482,8 @@ int RunGatherSelfTest(VexusEngine& engine) {
   backends[0].reset();
   Response degraded = screen_of(coordinator, "gather-b");
   if (!degraded.status.ok()) {
-    std::fprintf(stderr, "selftest-gather: post-kill screen failed: %s\n",
-                 degraded.status.ToString().c_str());
+    std::fprintf(stderr, "selftest-gather: post-kill screen failed (%s)\n",
+                 describe(degraded).c_str());
     cleanup();
     return 1;
   }
@@ -475,7 +493,7 @@ int RunGatherSelfTest(VexusEngine& engine) {
     std::fprintf(stderr,
                  "selftest-gather: expected degraded:\"partial\" after the "
                  "kill, got %s\n",
-                 degraded.degraded.value_or("<unset>").c_str());
+                 describe(degraded).c_str());
     cleanup();
     return 1;
   }
@@ -530,7 +548,9 @@ int RunGatherSelfTest(VexusEngine& engine) {
   }
   Response healed = screen_of(coordinator, "gather-c");
   if (!healed.status.ok() || healed.degraded.has_value()) {
-    std::fprintf(stderr, "selftest-gather: post-recovery screen degraded\n");
+    std::fprintf(stderr,
+                 "selftest-gather: post-recovery screen degraded (%s)\n",
+                 describe(healed).c_str());
     cleanup();
     return 1;
   }

@@ -1,6 +1,7 @@
 #include "common/shard_map.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/logging.h"
 
@@ -13,6 +14,9 @@ size_t WordsFor(size_t bits) { return (bits + kWordBits - 1) / kWordBits; }
 
 ShardMap::ShardMap(size_t num_users, size_t num_shards)
     : num_users_(num_users) {
+  // Range holds user ids as uint32_t.
+  VEXUS_CHECK(num_users <= std::numeric_limits<uint32_t>::max())
+      << "universe of " << num_users << " users exceeds 32-bit user ids";
   const size_t words = WordsFor(num_users);
   size_t shards = std::clamp<size_t>(num_shards, 1, std::max<size_t>(1, words));
   ranges_.resize(shards);

@@ -9,7 +9,9 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 
+#include "common/bitset_kernels.h"
 #include "common/crc32.h"
 #include "common/failpoint.h"
 #include "common/hybrid_bitset.h"
@@ -22,29 +24,44 @@ namespace {
 
 constexpr char kMagic[4] = {'V', 'X', 'S', 'N'};
 constexpr char kTrailerMagic[4] = {'V', 'X', 'T', 'R'};
-constexpr uint32_t kVersionV1 = 1;
-constexpr uint32_t kVersionV2 = 2;
-constexpr uint32_t kVersionV3 = 3;
-constexpr size_t kHeaderSize = 4 + 4 + 8;           // magic, version, num_users
-constexpr size_t kTrailerSize = 4 * 8 + 3 * 4 + 4;  // offsets, crcs, magic
+constexpr uint32_t kVersionV2 = 2;  // one group section, fixed trailer
+constexpr uint32_t kVersionV3 = 3;  // S > 1 group sections, variable trailer
+constexpr size_t kHeaderSize = 4 + 4 + 8;  // magic, version, num_users
 
-// v3 variable trailer: S shard entries, a postings entry, then a fixed tail.
-constexpr size_t kV3ShardEntrySize = 4 * 8 + 4;  // offset, len, range, crc
+// Both trailers end in u32 trailer_crc | magic; the CRC covers the rest.
+constexpr size_t kV2TrailerSize = 4 * 8 + 3 * 4 + 4;  // offsets, crcs, magic
+constexpr size_t kV3SectionEntrySize = 4 * 8 + 4;  // offset, len, range, crc
 constexpr size_t kV3PostingsEntrySize = 2 * 8 + 4;
 constexpr size_t kV3TrailerTailSize = 8 + 4 + 4;  // num_shards, crc, magic
 
-size_t V3TrailerSize(size_t num_shards) {
-  return num_shards * kV3ShardEntrySize + kV3PostingsEntrySize +
+size_t V3TrailerSize(size_t num_sections) {
+  return num_sections * kV3SectionEntrySize + kV3PostingsEntrySize +
          kV3TrailerTailSize;
 }
 
-// Group member-block encodings (v2).
+// Group member-block encodings.
 constexpr uint8_t kEncodingSparse = 0;  // uvarint deltas, strictly ascending
-constexpr uint8_t kEncodingRaw = 1;     // ceil(num_users/64) × u64 words
+constexpr uint8_t kEncodingRaw = 1;     // the section's u64 bitset words
 
 std::atomic<uint64_t> g_fsync_count{0};
 
 Status Truncated() { return Status::Corruption("snapshot truncated"); }
+
+/// Where one section of the file lives, and its checksum.
+struct Section {
+  uint64_t offset = 0, len = 0;
+  uint32_t crc = 0;
+};
+
+/// Group section `s`'s checksum. Section 0's CRC starts at byte 0, not at the
+/// section: the header fields (magic, version, num_users) would otherwise be
+/// the one unprotected spot — a bit flip in num_users could parse into a
+/// store with the wrong universe size and only fail much later, far from the
+/// corruption. Later sections cover their own bytes.
+uint32_t GroupSectionCrc(const char* file, const Section& sec, size_t s) {
+  const uint64_t begin = s == 0 ? 0 : sec.offset;
+  return Crc32(file + begin, sec.offset + sec.len - begin);
+}
 
 // ---- little-endian buffer writers ----
 
@@ -124,33 +141,21 @@ class Cursor {
     return true;
   }
 
-  /// LEB128; rejects encodings longer than 10 bytes (64 payload bits).
-  bool ReadVarint(uint64_t* v) {
-    *v = 0;
-    for (int shift = 0; shift < 64; shift += 7) {
-      if (remaining() < 1) return false;
-      uint8_t byte = *p_++;
-      *v |= static_cast<uint64_t>(byte & 0x7f) << shift;
-      if ((byte & 0x80) == 0) return true;
-    }
-    return false;
-  }
-
-  bool ReadWords(size_t n, std::vector<uint64_t>* out) {
-    if (remaining() < n * 8) return false;
-    out->resize(n);
+  /// Reads `n` u64 words into `out[0, n)`.
+  bool ReadWords(size_t n, uint64_t* out) {
+    if (remaining() / 8 < n) return false;
 #if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
     // The raw member-block fast path: this is a single memcpy at memory
     // bandwidth, which is the whole point of encoding dense groups as LE
     // bitset words instead of one int per member.
-    std::memcpy(out->data(), p_, n * 8);
+    std::memcpy(out, p_, n * 8);
 #else
     for (size_t w = 0; w < n; ++w) {
       uint64_t v = 0;
       for (int i = 0; i < 8; ++i) {
         v |= static_cast<uint64_t>(p_[w * 8 + i]) << (8 * i);
       }
-      (*out)[w] = v;
+      out[w] = v;
     }
 #endif
     p_ += n * 8;
@@ -175,21 +180,13 @@ class Cursor {
 // Encoding
 // ---------------------------------------------------------------------------
 
-void EncodeGroupsV1(const mining::GroupStore& groups, std::string* out) {
-  AppendU64(out, groups.size());
-  for (mining::GroupId g = 0; g < groups.size(); ++g) {
-    const mining::UserGroup& grp = groups.group(g);
-    AppendU32(out, static_cast<uint32_t>(grp.description().size()));
-    for (const mining::Descriptor& d : grp.description()) {
-      AppendU32(out, d.attribute);
-      AppendU32(out, d.value);
-    }
-    AppendU64(out, grp.size());
-    grp.members().ForEach([out](uint32_t u) { AppendU32(out, u); });
-  }
-}
-
-void EncodeGroupsV2(const mining::GroupStore& groups, std::string* out) {
+/// One group section: every group's descriptors plus its members inside the
+/// range `r`, each member block in whichever encoding is smaller (raw blocks
+/// span only the range's words). Run over the whole universe this is the v2
+/// GROUPS section. Descriptors repeat per section on purpose — that is what
+/// makes a v3 section loadable without touching any other.
+void EncodeGroupSection(const mining::GroupStore& groups,
+                        const ShardMap::Range& r, std::string* out) {
   AppendU64(out, groups.size());
   std::string sparse;  // reused scratch across groups
   for (mining::GroupId g = 0; g < groups.size(); ++g) {
@@ -199,29 +196,30 @@ void EncodeGroupsV2(const mining::GroupStore& groups, std::string* out) {
       AppendU32(out, d.attribute);
       AppendU32(out, d.value);
     }
-    AppendU64(out, grp.size());
-
     const HybridBitset& members = grp.members();
     sparse.clear();
+    uint64_t count = 0;
     uint32_t prev = 0;
-    bool first = true;
-    members.ForEach([&](uint32_t u) {
-      AppendVarint(&sparse, first ? u : u - prev);
+    members.ForEachInRange(r.word_begin, r.word_end, [&](uint32_t u) {
+      AppendVarint(&sparse, count == 0 ? u : u - prev);
       prev = u;
-      first = false;
+      ++count;
     });
-    size_t raw_size = ((groups.num_users() + 63) / 64) * 8;
-    if (sparse.size() <= raw_size) {
+    AppendU64(out, count);
+    if (sparse.size() <= r.num_words() * 8) {
       AppendU8(out, kEncodingSparse);
       out->append(sparse);
     } else {
       AppendU8(out, kEncodingRaw);
-      if (members.is_sparse()) {
-        // Sparse in RAM but raw wins on disk (pathological delta spread):
-        // materialize the words once for this group.
-        for (uint64_t w : members.ToBitset().words()) AppendU64(out, w);
-      } else {
-        for (uint64_t w : members.dense_form().words()) AppendU64(out, w);
+      // Raw wins above ~1/8 density within the range. A set that is sparse
+      // over the whole universe can still be that dense inside one
+      // section's range; its words are materialized for this group.
+      const Bitset materialized =
+          members.is_sparse() ? members.ToBitset() : Bitset();
+      const Bitset& bits =
+          members.is_sparse() ? materialized : members.dense_form();
+      for (size_t w = r.word_begin; w < r.word_end; ++w) {
+        AppendU64(out, bits.words()[w]);
       }
     }
   }
@@ -239,135 +237,55 @@ void EncodePostings(const index::InvertedIndex& index, std::string* out) {
   }
 }
 
+/// Header, one group section per shard, postings, trailer. Only the trailer
+/// depends on the section count: one section is v2, more are v3.
 std::string EncodeSnapshot(const mining::GroupStore& groups,
                            const index::InvertedIndex& index,
-                           uint32_t version) {
-  std::string payload;
-  payload.append(kMagic, 4);
-  AppendU32(&payload, version);
-  AppendU64(&payload, groups.num_users());
-
-  if (version == kVersionV1) {
-    EncodeGroupsV1(groups, &payload);
-    EncodePostings(index, &payload);
-    return payload;
-  }
-
-  std::string groups_sec;
-  EncodeGroupsV2(groups, &groups_sec);
-  std::string postings_sec;
-  EncodePostings(index, &postings_sec);
-
-  uint64_t groups_offset = payload.size();
-  payload.append(groups_sec);
-  uint64_t postings_offset = payload.size();
-  payload.append(postings_sec);
-
-  std::string trailer;
-  AppendU64(&trailer, groups_offset);
-  AppendU64(&trailer, groups_sec.size());
-  AppendU64(&trailer, postings_offset);
-  AppendU64(&trailer, postings_sec.size());
-  // The groups CRC starts at byte 0, not at the section: the header fields
-  // (magic, version, num_users) would otherwise be the one unprotected spot
-  // — a bit flip in num_users could parse into a store with the wrong
-  // universe size and only fail much later, far from the corruption.
-  AppendU32(&trailer,
-            Crc32(payload.data(), groups_offset + groups_sec.size()));
-  AppendU32(&trailer, Crc32(postings_sec.data(), postings_sec.size()));
-  AppendU32(&trailer, Crc32(trailer.data(), trailer.size()));
-  trailer.append(kTrailerMagic, 4);
-  VEXUS_DCHECK(trailer.size() == kTrailerSize);
-  payload.append(trailer);
-  return payload;
-}
-
-/// One shard's self-contained group section (v3): every group's descriptors
-/// plus the members inside the shard's word range, in the v2 member-block
-/// encodings (raw blocks span only the shard's words). Descriptors repeat
-/// per section on purpose — that is what makes a section loadable without
-/// touching any other.
-void EncodeGroupsShard(const mining::GroupStore& groups,
-                       const ShardMap::Range& r, std::string* out) {
-  AppendU64(out, groups.size());
-  std::string sparse;           // reused scratch across groups
-  std::vector<uint32_t> ids;    // members of the current group in range
-  for (mining::GroupId g = 0; g < groups.size(); ++g) {
-    const mining::UserGroup& grp = groups.group(g);
-    AppendU32(out, static_cast<uint32_t>(grp.description().size()));
-    for (const mining::Descriptor& d : grp.description()) {
-      AppendU32(out, d.attribute);
-      AppendU32(out, d.value);
-    }
-    ids.clear();
-    grp.members().ForEachInRange(r.word_begin, r.word_end,
-                                 [&](uint32_t u) { ids.push_back(u); });
-    AppendU64(out, ids.size());
-
-    sparse.clear();
-    uint32_t prev = 0;
-    for (size_t i = 0; i < ids.size(); ++i) {
-      AppendVarint(&sparse, i == 0 ? ids[i] : ids[i] - prev);
-      prev = ids[i];
-    }
-    size_t raw_size = r.num_words() * 8;
-    if (sparse.size() <= raw_size) {
-      AppendU8(out, kEncodingSparse);
-      out->append(sparse);
-    } else {
-      AppendU8(out, kEncodingRaw);
-      std::vector<uint64_t> words(r.num_words(), 0);
-      for (uint32_t u : ids) {
-        words[(u >> 6) - r.word_begin] |= uint64_t{1} << (u & 63);
-      }
-      for (uint64_t w : words) AppendU64(out, w);
-    }
-  }
-}
-
-std::string EncodeSnapshotV3(const mining::GroupStore& groups,
-                             const index::InvertedIndex& index,
-                             const ShardMap& shards) {
-  std::string payload;
-  payload.append(kMagic, 4);
-  AppendU32(&payload, kVersionV3);
-  AppendU64(&payload, groups.num_users());
-
+                           const ShardMap& shards) {
   const size_t S = shards.num_shards();
-  std::vector<uint64_t> offsets(S), lens(S);
-  std::vector<uint32_t> crcs(S);
-  for (size_t s = 0; s < S; ++s) {
-    offsets[s] = payload.size();
-    std::string sec;
-    EncodeGroupsShard(groups, shards.shard(s), &sec);
-    lens[s] = sec.size();
-    payload.append(sec);
-    // Shard 0's CRC starts at byte 0 so the header rides along (same
-    // rationale as v2's groups CRC); later sections cover their own bytes.
-    crcs[s] = s == 0 ? Crc32(payload.data(), offsets[0] + lens[0])
-                     : Crc32(payload.data() + offsets[s], lens[s]);
-  }
+  std::string payload;
+  payload.append(kMagic, 4);
+  AppendU32(&payload, S == 1 ? kVersionV2 : kVersionV3);
+  AppendU64(&payload, groups.num_users());
 
-  uint64_t postings_offset = payload.size();
-  std::string postings_sec;
-  EncodePostings(index, &postings_sec);
-  payload.append(postings_sec);
+  std::vector<Section> sections(S);
+  for (size_t s = 0; s < S; ++s) {
+    Section& sec = sections[s];
+    sec.offset = payload.size();
+    EncodeGroupSection(groups, shards.shard(s), &payload);
+    sec.len = payload.size() - sec.offset;
+    sec.crc = GroupSectionCrc(payload.data(), sec, s);
+  }
+  Section postings;
+  postings.offset = payload.size();
+  EncodePostings(index, &payload);
+  postings.len = payload.size() - postings.offset;
+  postings.crc = Crc32(payload.data() + postings.offset, postings.len);
 
   std::string trailer;
-  for (size_t s = 0; s < S; ++s) {
-    AppendU64(&trailer, offsets[s]);
-    AppendU64(&trailer, lens[s]);
-    AppendU64(&trailer, shards.shard(s).user_begin);
-    AppendU64(&trailer, shards.shard(s).user_end);
-    AppendU32(&trailer, crcs[s]);
+  if (S == 1) {
+    AppendU64(&trailer, sections[0].offset);
+    AppendU64(&trailer, sections[0].len);
+    AppendU64(&trailer, postings.offset);
+    AppendU64(&trailer, postings.len);
+    AppendU32(&trailer, sections[0].crc);
+    AppendU32(&trailer, postings.crc);
+  } else {
+    for (size_t s = 0; s < S; ++s) {
+      AppendU64(&trailer, sections[s].offset);
+      AppendU64(&trailer, sections[s].len);
+      AppendU64(&trailer, shards.shard(s).user_begin);
+      AppendU64(&trailer, shards.shard(s).user_end);
+      AppendU32(&trailer, sections[s].crc);
+    }
+    AppendU64(&trailer, postings.offset);
+    AppendU64(&trailer, postings.len);
+    AppendU32(&trailer, postings.crc);
+    AppendU64(&trailer, S);
   }
-  AppendU64(&trailer, postings_offset);
-  AppendU64(&trailer, postings_sec.size());
-  AppendU32(&trailer, Crc32(postings_sec.data(), postings_sec.size()));
-  AppendU64(&trailer, S);
   AppendU32(&trailer, Crc32(trailer.data(), trailer.size()));
   trailer.append(kTrailerMagic, 4);
-  VEXUS_DCHECK(trailer.size() == V3TrailerSize(S));
+  VEXUS_DCHECK(trailer.size() == (S == 1 ? kV2TrailerSize : V3TrailerSize(S)));
   payload.append(trailer);
   return payload;
 }
@@ -500,8 +418,154 @@ Result<std::string> ReadFileFully(const std::string& path) {
 // Parsing
 // ---------------------------------------------------------------------------
 
-/// Shared tail of both versions: descriptor list + member count header.
-Status ParseGroupHeader(Cursor* cur, uint64_t num_users,
+/// Where everything lives in a snapshot file, after the header and trailer
+/// checks. Both format versions parse into this: v2's fixed trailer names
+/// one group section, which covers shard 0 of 1, v3's variable trailer
+/// names one per shard.
+struct Layout {
+  uint64_t num_users = 0;
+  ShardMap map;                 // the user range of each group section
+  std::vector<Section> groups;  // in shard order
+  Section postings;
+};
+
+/// The one header + trailer check both loaders share: magic, version, a
+/// universe that fits 32-bit user ids, the trailer's magic and CRC, v3
+/// section ranges that match ShardMap(num_users, S), and sections that tile
+/// the file exactly. ShardMap(num_users, S) is the same partition the
+/// preprocessing and serving layers compute, so a shard server and the
+/// snapshot can never disagree about who owns which users. Section CRCs are
+/// NOT checked here — LoadSnapshotShard verifies only its own section.
+Result<Layout> ReadLayout(const std::string& buf) {
+  if (buf.size() < kHeaderSize) return Truncated();
+  if (std::memcmp(buf.data(), kMagic, 4) != 0) {
+    return Status::Corruption("bad snapshot magic");
+  }
+  Layout l;
+  Cursor hcur(buf.data() + 4, kHeaderSize - 4);
+  uint32_t version;
+  (void)hcur.ReadU32(&version);
+  (void)hcur.ReadU64(&l.num_users);
+  if (version != kVersionV2 && version != kVersionV3) {
+    return Status::NotSupported("snapshot version " + std::to_string(version) +
+                                " (expected " + std::to_string(kVersionV2) +
+                                ".." + std::to_string(kVersionV3) + ")");
+  }
+  // ShardMap ranges and SnapshotShard hold user ids as uint32_t.
+  if (l.num_users > std::numeric_limits<uint32_t>::max()) {
+    return Status::Corruption("user universe exceeds 32-bit user ids");
+  }
+
+  const bool v2 = version == kVersionV2;
+  if (buf.size() < kHeaderSize + (v2 ? kV2TrailerSize : V3TrailerSize(1))) {
+    return Truncated();
+  }
+  if (std::memcmp(buf.data() + buf.size() - 4, kTrailerMagic, 4) != 0) {
+    return Status::Corruption("bad snapshot trailer magic");
+  }
+  uint64_t num_sections = 1;
+  if (!v2) {
+    Cursor tail(buf.data() + buf.size() - kV3TrailerTailSize, 8);
+    (void)tail.ReadU64(&num_sections);
+    // Bomb guard: each section costs a trailer entry, so a corrupt count
+    // cannot force a giant allocation before the size check below fails.
+    if (num_sections == 0 || num_sections > buf.size() / kV3SectionEntrySize) {
+      return Status::Corruption("shard count exceeds file size");
+    }
+  }
+  const size_t trailer_size = v2 ? kV2TrailerSize : V3TrailerSize(num_sections);
+  if (buf.size() < kHeaderSize + trailer_size) return Truncated();
+  const char* tstart = buf.data() + buf.size() - trailer_size;
+  uint32_t trailer_crc;
+  Cursor crc_cur(buf.data() + buf.size() - 8, 4);
+  (void)crc_cur.ReadU32(&trailer_crc);
+  if (Crc32(tstart, trailer_size - 8) != trailer_crc) {
+    return Status::Corruption("trailer checksum mismatch");
+  }
+
+  l.map = ShardMap(l.num_users, num_sections);
+  if (l.map.num_shards() != num_sections) {
+    return Status::Corruption("shard count impossible for universe size");
+  }
+  Cursor cur(tstart, trailer_size - 8);
+  l.groups.resize(num_sections);
+  if (v2) {
+    Section& g = l.groups[0];
+    (void)cur.ReadU64(&g.offset);
+    (void)cur.ReadU64(&g.len);
+    (void)cur.ReadU64(&l.postings.offset);
+    (void)cur.ReadU64(&l.postings.len);
+    (void)cur.ReadU32(&g.crc);
+    (void)cur.ReadU32(&l.postings.crc);
+  } else {
+    for (size_t s = 0; s < num_sections; ++s) {
+      Section& g = l.groups[s];
+      uint64_t user_begin, user_end;
+      (void)cur.ReadU64(&g.offset);
+      (void)cur.ReadU64(&g.len);
+      (void)cur.ReadU64(&user_begin);
+      (void)cur.ReadU64(&user_end);
+      (void)cur.ReadU32(&g.crc);
+      if (user_begin != l.map.shard(s).user_begin ||
+          user_end != l.map.shard(s).user_end) {
+        return Status::Corruption("shard ranges disagree with the shard map");
+      }
+    }
+    (void)cur.ReadU64(&l.postings.offset);
+    (void)cur.ReadU64(&l.postings.len);
+    (void)cur.ReadU32(&l.postings.crc);
+  }
+
+  // Header, group sections in shard order, postings, and trailer must tile
+  // the file exactly — trailing garbage or overlapping sections fail here.
+  // The per-section length bound stops a huge u64 from wrapping the sum.
+  uint64_t expect = kHeaderSize;
+  for (size_t s = 0; s <= num_sections; ++s) {
+    const Section& sec = s < num_sections ? l.groups[s] : l.postings;
+    if (sec.len < 8 || sec.len > buf.size() || sec.offset != expect) {
+      return Status::Corruption("snapshot sections do not tile the file");
+    }
+    expect += sec.len;
+  }
+  if (expect + trailer_size != buf.size()) {
+    return Status::Corruption("snapshot sections do not tile the file");
+  }
+  return l;
+}
+
+Status VerifyGroupChecksums(const std::string& buf, const Layout& l,
+                            size_t begin, size_t end) {
+  for (size_t s = begin; s < end; ++s) {
+    if (GroupSectionCrc(buf.data(), l.groups[s], s) != l.groups[s].crc) {
+      return Status::Corruption("group section " + std::to_string(s) +
+                                " checksum mismatch");
+    }
+  }
+  return Status::OK();
+}
+
+/// One group's members as its blocks fold in, section by section. Sections
+/// cover disjoint, ascending user ranges, so members arrive in increasing
+/// order: they collect as sorted ids while the running count stays at or
+/// below the hybrid sparse threshold, and as full-universe words above it.
+/// With one section this is exactly the form the finished HybridBitset
+/// takes.
+struct GroupAccumulator {
+  std::vector<mining::Descriptor> desc;
+  std::vector<uint32_t> ids;
+  std::vector<uint64_t> words;
+  bool dense = false;
+
+  void ToWords(size_t num_words) {
+    words.assign(num_words, 0);
+    for (uint32_t u : ids) words[u >> 6] |= uint64_t{1} << (u & 63);
+    ids = {};
+    dense = true;
+  }
+};
+
+/// Descriptor list + member count of one group in one section.
+Status ParseGroupHeader(Cursor* cur, uint64_t max_members,
                         std::vector<mining::Descriptor>* desc,
                         uint64_t* member_count) {
   uint32_t desc_len;
@@ -519,165 +583,182 @@ Status ParseGroupHeader(Cursor* cur, uint64_t num_users,
     desc->push_back(d);
   }
   if (!cur->ReadU64(member_count)) return Truncated();
-  if (*member_count > num_users) {
-    return Status::Corruption("group claims more members than users");
+  if (*member_count > max_members) {
+    return Status::Corruption("group claims more members than its users");
   }
   return Status::OK();
 }
 
-Status AddParsedGroup(mining::GroupStore* store, uint64_t expected_id,
-                      std::vector<mining::Descriptor> desc,
-                      HybridBitset members) {
-  mining::GroupId assigned =
-      store->Add(mining::UserGroup(std::move(desc), std::move(members)));
-  if (assigned != expected_id) {
-    // Stores never hold duplicate (description, extent) pairs, so a dedup
-    // hit here means the file repeats a group — ids would shift and the
-    // posting lists would dangle.
-    return Status::Corruption("duplicate group in snapshot");
+/// Decodes one group's block from the section over `r` into `acc`. The
+/// first section's block sets the descriptors; later sections must repeat
+/// them (their CRCs already passed, so a mismatch means the writer was
+/// broken, not the media).
+Status DecodeGroupBlock(Cursor* cur, uint64_t num_users,
+                        const ShardMap::Range& r, bool first,
+                        std::vector<mining::Descriptor>* scratch,
+                        GroupAccumulator* acc) {
+  uint64_t member_count;
+  VEXUS_RETURN_NOT_OK(ParseGroupHeader(cur, r.num_users(),
+                                       first ? &acc->desc : scratch,
+                                       &member_count));
+  if (!first && *scratch != acc->desc) {
+    return Status::Corruption("shard sections disagree on group descriptors");
   }
-  return Status::OK();
-}
+  uint8_t encoding;
+  if (!cur->ReadU8(&encoding)) return Truncated();
 
-Status ParseGroupsV1(Cursor* cur, uint64_t num_users, uint64_t num_groups,
-                     mining::GroupStore* store) {
-  std::vector<mining::Descriptor> desc;
-  for (uint64_t g = 0; g < num_groups; ++g) {
-    uint64_t member_count;
-    VEXUS_RETURN_NOT_OK(ParseGroupHeader(cur, num_users, &desc, &member_count));
-    Bitset members(num_users);
-    for (uint64_t i = 0; i < member_count; ++i) {
-      uint32_t u;
-      if (!cur->ReadU32(&u)) return Truncated();
-      if (u >= num_users) return Status::Corruption("member id out of range");
-      if (members.Test(u)) {
-        // Pre-fix this silently shrank the group: Set(u) twice stores one
-        // bit, so the loaded extent disagreed with the written one.
+  const size_t universe_words = (num_users + 63) / 64;
+  if (encoding == kEncodingSparse) {
+    // Every member costs at least one byte, so a corrupt count fails here
+    // before it can size an allocation.
+    if (member_count > cur->remaining()) return Truncated();
+    if (!acc->dense && acc->ids.size() + member_count >
+                           HybridBitset::SparseThresholdFor(num_users)) {
+      acc->ToWords(universe_words);
+    }
+    if (!acc->dense) acc->ids.reserve(acc->ids.size() + member_count);
+    // Hand-rolled LEB128 delta decode: this loop runs once per member
+    // across the whole snapshot, so it works on raw pointers (one bounds
+    // check per byte consumed, no per-call function overhead). Sparse groups
+    // decode straight into the ascending id array that IS the hybrid sparse
+    // form; denser ones write bits into the word array. Strictly ascending
+    // ids mean every id is fresh, so the count equals member_count by
+    // construction — no verification pass is needed.
+    const unsigned char* p = cur->pos();
+    const unsigned char* const end = cur->end();
+    // Deltas between neighbouring members of a non-degenerate group are
+    // almost always < 128, so the common case is one load, one test.
+    // Encodings longer than 10 bytes (64 payload bits) are rejected.
+    const auto read_delta = [&p, end](uint64_t* delta) -> bool {
+      if (p == end) return false;
+      uint64_t v = *p++;
+      if ((v & 0x80) != 0) {
+        v &= 0x7f;
+        int shift = 7;
+        for (;;) {
+          if (p == end || shift >= 64) return false;
+          const uint8_t byte = *p++;
+          v |= static_cast<uint64_t>(byte & 0x7f) << shift;
+          if ((byte & 0x80) == 0) break;
+          shift += 7;
+        }
+      }
+      *delta = v;
+      return true;
+    };
+    const bool to_words = acc->dense;
+    uint64_t* const words = acc->words.data();
+    std::vector<uint32_t>& ids = acc->ids;
+    const auto add = [to_words, words, &ids](uint64_t id) {
+      if (to_words) {
+        words[id >> 6] |= uint64_t{1} << (id & 63);
+      } else {
+        ids.push_back(static_cast<uint32_t>(id));
+      }
+    };
+    // First member peeled: it is an absolute id (delta 0 is legal there),
+    // so the loop body only handles the strictly-positive-delta case.
+    uint64_t id = 0;
+    if (member_count > 0) {
+      if (!read_delta(&id)) return Truncated();
+      if (id < r.user_begin || id >= r.user_end) {
+        return Status::Corruption("member id out of range");
+      }
+      add(id);
+    }
+    for (uint64_t i = 1; i < member_count; ++i) {
+      uint64_t delta;
+      if (!read_delta(&delta)) return Truncated();
+      if (delta == 0) {
         return Status::Corruption("duplicate member id in group");
       }
-      members.Set(u);
+      // Compared against the room left rather than after the add, so a
+      // delta near 2^64 cannot wrap the id back into range.
+      if (delta >= r.user_end - id) {
+        return Status::Corruption("member id out of range");
+      }
+      id += delta;
+      add(id);
     }
-    VEXUS_RETURN_NOT_OK(AddParsedGroup(store, g, std::move(desc),
-                                       HybridBitset::FromBitset(
-                                           std::move(members))));
+    cur->AdvanceTo(p);
+  } else if (encoding == kEncodingRaw) {
+    if (cur->remaining() / 8 < r.num_words()) return Truncated();
+    if (!acc->dense) acc->ToWords(universe_words);
+    // Sections own disjoint words, so the block lands in words nothing else
+    // has written. Bits past the universe's end are caught when the words
+    // become a Bitset.
+    uint64_t* block = acc->words.data() + r.word_begin;
+    (void)cur->ReadWords(r.num_words(), block);
+    if (bitset_kernels::Count(block, r.num_words()) != member_count) {
+      return Status::Corruption(
+          "raw member block popcount disagrees with member_count");
+    }
+  } else {
+    return Status::Corruption("unknown member-block encoding");
   }
   return Status::OK();
 }
 
-Status ParseGroupsV2(Cursor* cur, uint64_t num_users, uint64_t num_groups,
-                     mining::GroupStore* store) {
-  const size_t words_per_group = (num_users + 63) / 64;
-  const uint64_t sparse_threshold = HybridBitset::SparseThresholdFor(num_users);
-  std::vector<mining::Descriptor> desc;
-  std::vector<uint64_t> words;
-  for (uint64_t g = 0; g < num_groups; ++g) {
-    uint64_t member_count;
-    VEXUS_RETURN_NOT_OK(ParseGroupHeader(cur, num_users, &desc, &member_count));
-    uint8_t encoding;
-    if (!cur->ReadU8(&encoding)) return Truncated();
+/// The one group-section decoder: decodes group sections [begin, end) into
+/// one store over the full universe (a single shard's section gives that
+/// shard's slice store). Group-major — each group's blocks are read from
+/// every section, then the group is finished while its words are still in
+/// cache.
+Result<mining::GroupStore> DecodeGroups(const std::string& buf,
+                                        const Layout& l, size_t begin,
+                                        size_t end) {
+  std::vector<Cursor> sections;
+  uint64_t num_groups = 0;
+  for (size_t s = begin; s < end; ++s) {
+    Cursor& cur =
+        sections.emplace_back(buf.data() + l.groups[s].offset, l.groups[s].len);
+    uint64_t n;
+    if (!cur.ReadU64(&n)) return Truncated();
+    if (n > l.groups[s].len / 13) {  // ≥ 13 bytes per group
+      return Status::Corruption("group count exceeds section size");
+    }
+    if (s == begin) {
+      num_groups = n;
+    } else if (n != num_groups) {
+      return Status::Corruption("shard sections disagree on group count");
+    }
+  }
 
+  mining::GroupStore store(l.num_users);
+  std::vector<mining::Descriptor> scratch;
+  for (uint64_t g = 0; g < num_groups; ++g) {
+    GroupAccumulator acc;
+    for (size_t s = begin; s < end; ++s) {
+      VEXUS_RETURN_NOT_OK(DecodeGroupBlock(&sections[s - begin], l.num_users,
+                                           l.map.shard(s), s == begin, &scratch,
+                                           &acc));
+    }
     HybridBitset members;
-    if (encoding == kEncodingSparse) {
-      // Hand-rolled LEB128 delta decode: this loop runs once per member
-      // across the whole snapshot, so it works on raw pointers (one bounds
-      // check per byte consumed, no per-call function overhead). Groups at
-      // or below the in-RAM density threshold decode straight into the
-      // hybrid sparse form — the strictly-ascending id array IS the decoded
-      // container, no word materialization at all; denser groups fall back
-      // to writing bits into the word array. Strictly ascending ids mean
-      // every id is fresh, so count == member_count by construction — no
-      // separate verification pass is needed.
-      const unsigned char* p = cur->pos();
-      const unsigned char* const end = cur->end();
-      const bool to_sparse = member_count <= sparse_threshold;
-      std::vector<uint32_t> ids;
-      if (to_sparse) {
-        ids.reserve(member_count);
-      } else {
-        words.assign(words_per_group, 0);
-      }
-      uint64_t id = 0;
-      // ReadVarint with the multi-byte continuation peeled off: deltas
-      // between neighbouring members of a non-degenerate group are almost
-      // always < 128, so the common case is one load, one test, one OR.
-      const auto read_delta = [&p, end](uint64_t* delta) -> bool {
-        if (p == end) return false;
-        uint64_t v = *p++;
-        if ((v & 0x80) != 0) {
-          v &= 0x7f;
-          int shift = 7;
-          for (;;) {
-            if (p == end || shift >= 64) return false;
-            const uint8_t byte = *p++;
-            v |= static_cast<uint64_t>(byte & 0x7f) << shift;
-            if ((byte & 0x80) == 0) break;
-            shift += 7;
-          }
-        }
-        *delta = v;
-        return true;
-      };
-      // First member peeled: it is an absolute id (delta 0 is legal there),
-      // so the loop body only handles the strictly-positive-delta case.
-      if (member_count > 0) {
-        if (!read_delta(&id)) return Truncated();
-        if (id >= num_users) {
-          return Status::Corruption("member id out of range");
-        }
-        if (to_sparse) {
-          ids.push_back(static_cast<uint32_t>(id));
-        } else {
-          words[id >> 6] |= uint64_t{1} << (id & 63);
-        }
-      }
-      for (uint64_t i = 1; i < member_count; ++i) {
-        uint64_t delta;
-        if (!read_delta(&delta)) return Truncated();
-        if (delta == 0) {
-          return Status::Corruption("duplicate member id in group");
-        }
-        id += delta;
-        if (id >= num_users) {
-          return Status::Corruption("member id out of range");
-        }
-        if (to_sparse) {
-          ids.push_back(static_cast<uint32_t>(id));
-        } else {
-          words[id >> 6] |= uint64_t{1} << (id & 63);
-        }
-      }
-      cur->AdvanceTo(p);
-      if (to_sparse) {
-        members = HybridBitset::FromSortedIds(num_users, std::move(ids));
-      } else {
-        Bitset dense;
-        if (!dense.AdoptWords(num_users, std::move(words))) {
-          return Status::Corruption("member id out of range");
-        }
-        words = {};
-        members = HybridBitset::FromBitset(std::move(dense));
-      }
-    } else if (encoding == kEncodingRaw) {
-      if (!cur->ReadWords(words_per_group, &words)) return Truncated();
+    if (acc.dense) {
       Bitset dense;
-      if (!dense.AdoptWords(num_users, std::move(words))) {
+      if (!dense.AdoptWords(l.num_users, std::move(acc.words))) {
         return Status::Corruption("raw member block has bits beyond universe");
       }
-      words = {};
-      if (dense.Count() != member_count) {
-        return Status::Corruption(
-            "raw member block popcount disagrees with member_count");
-      }
-      // FromBitset normalizes: a tiny raw-encoded group still lands in the
+      // FromBitset normalizes: a small raw-encoded group still lands in the
       // canonical sparse form.
       members = HybridBitset::FromBitset(std::move(dense));
     } else {
-      return Status::Corruption("unknown member-block encoding");
+      members = HybridBitset::FromSortedIds(l.num_users, std::move(acc.ids));
     }
-    VEXUS_RETURN_NOT_OK(
-        AddParsedGroup(store, g, std::move(desc), std::move(members)));
+    if (store.Add(mining::UserGroup(std::move(acc.desc),
+                                    std::move(members))) != g) {
+      // Stores never hold duplicate (description, extent) pairs, so a dedup
+      // hit here means the file repeats a group — ids would shift and the
+      // posting lists would dangle.
+      return Status::Corruption("duplicate group in snapshot");
+    }
   }
-  return Status::OK();
+  for (const Cursor& cur : sections) {
+    if (cur.remaining() != 0) {
+      return Status::Corruption("trailing bytes in groups section");
+    }
+  }
+  return store;
 }
 
 Status ParsePostings(Cursor* cur, uint64_t num_groups,
@@ -707,342 +788,6 @@ Status ParsePostings(Cursor* cur, uint64_t num_groups,
   return Status::OK();
 }
 
-Result<Snapshot> ParseV1(const std::string& buf, uint64_t num_users) {
-  Cursor cur(buf.data() + kHeaderSize, buf.size() - kHeaderSize);
-  uint64_t num_groups;
-  if (!cur.ReadU64(&num_groups)) return Truncated();
-  // Bomb guard: each group costs ≥ 12 bytes, so a corrupt count cannot force
-  // a giant allocation before the per-group reads start failing.
-  if (num_groups > buf.size() / 12) {
-    return Status::Corruption("group count exceeds file size");
-  }
-  mining::GroupStore store(num_users);
-  VEXUS_RETURN_NOT_OK(ParseGroupsV1(&cur, num_users, num_groups, &store));
-
-  std::vector<std::vector<index::Neighbor>> lists;
-  VEXUS_RETURN_NOT_OK(ParsePostings(&cur, num_groups, &lists));
-  if (cur.remaining() != 0) {
-    // Pre-fix the stream loader stopped reading here and accepted the file;
-    // bytes after the last posting list mean the writer and reader disagree
-    // about the format, so nothing upstream can be trusted.
-    return Status::Corruption("trailing garbage after posting lists");
-  }
-  return Snapshot{std::move(store),
-                  index::InvertedIndex::FromPostings(std::move(lists))};
-}
-
-Result<Snapshot> ParseV2(const std::string& buf, uint64_t num_users) {
-  if (buf.size() < kHeaderSize + kTrailerSize) return Truncated();
-
-  // Trailer first: offsets + checksums let us validate sections before
-  // trusting any length field inside them.
-  Cursor tcur(buf.data() + buf.size() - kTrailerSize, kTrailerSize);
-  uint64_t groups_offset, groups_len, postings_offset, postings_len;
-  uint32_t groups_crc, postings_crc, trailer_crc;
-  (void)tcur.ReadU64(&groups_offset);
-  (void)tcur.ReadU64(&groups_len);
-  (void)tcur.ReadU64(&postings_offset);
-  (void)tcur.ReadU64(&postings_len);
-  (void)tcur.ReadU32(&groups_crc);
-  (void)tcur.ReadU32(&postings_crc);
-  (void)tcur.ReadU32(&trailer_crc);
-  if (std::memcmp(buf.data() + buf.size() - 4, kTrailerMagic, 4) != 0) {
-    return Status::Corruption("bad snapshot trailer magic");
-  }
-  if (Crc32(buf.data() + buf.size() - kTrailerSize, kTrailerSize - 8) !=
-      trailer_crc) {
-    return Status::Corruption("trailer checksum mismatch");
-  }
-  // The header, the two sections, and the trailer must tile the file
-  // exactly — trailing garbage or overlapping sections fail here.
-  if (groups_offset != kHeaderSize || groups_len < 8 || postings_len < 8 ||
-      postings_offset != groups_offset + groups_len ||
-      postings_offset + postings_len + kTrailerSize != buf.size()) {
-    return Status::Corruption("snapshot sections do not tile the file");
-  }
-  // The groups CRC covers the header too (see EncodeSnapshot): everything
-  // from byte 0 through the end of the groups section.
-  if (Crc32(buf.data(), groups_offset + groups_len) != groups_crc) {
-    return Status::Corruption("groups section checksum mismatch");
-  }
-  if (Crc32(buf.data() + postings_offset, postings_len) != postings_crc) {
-    return Status::Corruption("postings section checksum mismatch");
-  }
-
-  Cursor gcur(buf.data() + groups_offset, groups_len);
-  uint64_t num_groups;
-  if (!gcur.ReadU64(&num_groups)) return Truncated();
-  if (num_groups > groups_len / 13) {  // ≥ 13 bytes per group in v2
-    return Status::Corruption("group count exceeds section size");
-  }
-  mining::GroupStore store(num_users);
-  VEXUS_RETURN_NOT_OK(ParseGroupsV2(&gcur, num_users, num_groups, &store));
-  if (gcur.remaining() != 0) {
-    return Status::Corruption("trailing bytes in groups section");
-  }
-
-  Cursor pcur(buf.data() + postings_offset, postings_len);
-  std::vector<std::vector<index::Neighbor>> lists;
-  VEXUS_RETURN_NOT_OK(ParsePostings(&pcur, num_groups, &lists));
-  if (pcur.remaining() != 0) {
-    return Status::Corruption("trailing bytes in postings section");
-  }
-  return Snapshot{std::move(store),
-                  index::InvertedIndex::FromPostings(std::move(lists))};
-}
-
-// ---------------------------------------------------------------------------
-// v3: per-shard group sections
-// ---------------------------------------------------------------------------
-
-struct V3ShardEntry {
-  uint64_t offset = 0, len = 0, user_begin = 0, user_end = 0;
-  uint32_t crc = 0;
-};
-
-struct V3Trailer {
-  std::vector<V3ShardEntry> shards;
-  uint64_t postings_offset = 0, postings_len = 0;
-  uint32_t postings_crc = 0;
-};
-
-/// Reads + validates the v3 variable trailer: magic, trailer CRC, exact
-/// tiling of the file by the shard sections + postings + trailer, and the
-/// shard ranges matching ShardMap(num_users, S) — the same partition the
-/// preprocessing and serving layers compute, so a shard server and the
-/// snapshot can never disagree about who owns which users. Section CRCs are
-/// NOT checked here — LoadSnapshotShard verifies only its own section.
-Result<V3Trailer> ParseV3Trailer(const std::string& buf, uint64_t num_users) {
-  if (buf.size() < kHeaderSize + V3TrailerSize(1)) return Truncated();
-  if (std::memcmp(buf.data() + buf.size() - 4, kTrailerMagic, 4) != 0) {
-    return Status::Corruption("bad snapshot trailer magic");
-  }
-  Cursor tail(buf.data() + buf.size() - kV3TrailerTailSize,
-              kV3TrailerTailSize);
-  uint64_t num_shards;
-  uint32_t trailer_crc;
-  (void)tail.ReadU64(&num_shards);
-  (void)tail.ReadU32(&trailer_crc);
-  // Bomb guard: each shard costs a trailer entry, so a corrupt count cannot
-  // force a giant allocation before the size check below fails.
-  if (num_shards == 0 || num_shards > buf.size() / kV3ShardEntrySize) {
-    return Status::Corruption("shard count exceeds file size");
-  }
-  const size_t trailer_size = V3TrailerSize(num_shards);
-  if (buf.size() < kHeaderSize + trailer_size) return Truncated();
-  const char* tstart = buf.data() + buf.size() - trailer_size;
-  if (Crc32(tstart, trailer_size - 8) != trailer_crc) {
-    return Status::Corruption("trailer checksum mismatch");
-  }
-
-  V3Trailer t;
-  Cursor cur(tstart, trailer_size - kV3TrailerTailSize);
-  t.shards.resize(num_shards);
-  for (V3ShardEntry& e : t.shards) {
-    (void)cur.ReadU64(&e.offset);
-    (void)cur.ReadU64(&e.len);
-    (void)cur.ReadU64(&e.user_begin);
-    (void)cur.ReadU64(&e.user_end);
-    (void)cur.ReadU32(&e.crc);
-  }
-  (void)cur.ReadU64(&t.postings_offset);
-  (void)cur.ReadU64(&t.postings_len);
-  (void)cur.ReadU32(&t.postings_crc);
-
-  // Sections must tile the file exactly: shard order, postings last. The
-  // per-entry length bound stops a huge u64 from wrapping the running sum.
-  uint64_t expect = kHeaderSize;
-  for (const V3ShardEntry& e : t.shards) {
-    if (e.len < 8 || e.len > buf.size() || e.offset != expect) {
-      return Status::Corruption("snapshot sections do not tile the file");
-    }
-    expect += e.len;
-  }
-  if (t.postings_len < 8 || t.postings_len > buf.size() ||
-      t.postings_offset != expect ||
-      t.postings_offset + t.postings_len + trailer_size != buf.size()) {
-    return Status::Corruption("snapshot sections do not tile the file");
-  }
-
-  ShardMap map(num_users, num_shards);
-  if (map.num_shards() != num_shards) {
-    return Status::Corruption("shard count impossible for universe size");
-  }
-  for (size_t s = 0; s < num_shards; ++s) {
-    if (t.shards[s].user_begin != map.shard(s).user_begin ||
-        t.shards[s].user_end != map.shard(s).user_end) {
-      return Status::Corruption("shard ranges disagree with the shard map");
-    }
-  }
-  return t;
-}
-
-/// Parses one shard's group section, appending each group's in-range member
-/// ids to `ids` (ascending: within a section ids ascend, and sections are
-/// visited in shard order). The first section fixes the group count and
-/// descriptors; later sections must agree (their CRCs already passed, so a
-/// mismatch means the writer was broken, not the media).
-Status ParseShardGroupsSection(
-    const char* data, size_t len, uint64_t num_users,
-    const ShardMap::Range& r, bool first, uint64_t* num_groups,
-    std::vector<std::vector<mining::Descriptor>>* descs,
-    std::vector<std::vector<uint32_t>>* ids) {
-  Cursor cur(data, len);
-  uint64_t n;
-  if (!cur.ReadU64(&n)) return Truncated();
-  if (n > len / 13) {  // ≥ 13 bytes per group, as in v2
-    return Status::Corruption("group count exceeds section size");
-  }
-  if (first) {
-    *num_groups = n;
-    descs->resize(n);
-    ids->resize(n);
-  } else if (n != *num_groups) {
-    return Status::Corruption("shard sections disagree on group count");
-  }
-  std::vector<mining::Descriptor> desc;
-  const uint64_t shard_users = r.user_end - r.user_begin;
-  for (uint64_t g = 0; g < n; ++g) {
-    uint64_t member_count;
-    VEXUS_RETURN_NOT_OK(
-        ParseGroupHeader(&cur, num_users, &desc, &member_count));
-    if (first) {
-      (*descs)[g] = desc;
-    } else {
-      const std::vector<mining::Descriptor>& have = (*descs)[g];
-      bool same = desc.size() == have.size();
-      for (size_t i = 0; same && i < desc.size(); ++i) {
-        same = desc[i].attribute == have[i].attribute &&
-               desc[i].value == have[i].value;
-      }
-      if (!same) {
-        return Status::Corruption(
-            "shard sections disagree on group descriptors");
-      }
-    }
-    if (member_count > shard_users) {
-      return Status::Corruption("group claims more members than shard users");
-    }
-    uint8_t encoding;
-    if (!cur.ReadU8(&encoding)) return Truncated();
-    std::vector<uint32_t>& out = (*ids)[g];
-    out.reserve(out.size() + member_count);
-    if (encoding == kEncodingSparse) {
-      uint64_t id = 0;
-      for (uint64_t i = 0; i < member_count; ++i) {
-        uint64_t delta;
-        if (!cur.ReadVarint(&delta)) return Truncated();
-        if (i == 0) {
-          id = delta;
-        } else {
-          if (delta == 0) {
-            return Status::Corruption("duplicate member id in group");
-          }
-          id += delta;
-        }
-        if (id < r.user_begin || id >= r.user_end) {
-          return Status::Corruption("member id outside shard range");
-        }
-        out.push_back(static_cast<uint32_t>(id));
-      }
-    } else if (encoding == kEncodingRaw) {
-      std::vector<uint64_t> words;
-      if (!cur.ReadWords(r.num_words(), &words)) return Truncated();
-      uint64_t count = 0;
-      for (size_t w = 0; w < words.size(); ++w) {
-        uint64_t bits = words[w];
-        while (bits != 0) {
-          const int b = __builtin_ctzll(bits);
-          bits &= bits - 1;
-          const uint64_t id = (r.word_begin + w) * 64 + b;
-          if (id >= r.user_end) {
-            return Status::Corruption(
-                "raw member block has bits beyond shard range");
-          }
-          out.push_back(static_cast<uint32_t>(id));
-          ++count;
-        }
-      }
-      if (count != member_count) {
-        return Status::Corruption(
-            "raw member block popcount disagrees with member_count");
-      }
-    } else {
-      return Status::Corruption("unknown member-block encoding");
-    }
-  }
-  if (cur.remaining() != 0) {
-    return Status::Corruption("trailing bytes in groups section");
-  }
-  return Status::OK();
-}
-
-/// Folds per-shard id streams into canonical HybridBitset members. Shard
-/// ranges are disjoint and visited in order, so each stream is sorted and
-/// duplicate-free by construction.
-Result<mining::GroupStore> BuildStoreFromShardIds(
-    uint64_t num_users, std::vector<std::vector<mining::Descriptor>>* descs,
-    std::vector<std::vector<uint32_t>>* ids) {
-  const uint64_t sparse_threshold =
-      HybridBitset::SparseThresholdFor(num_users);
-  mining::GroupStore store(num_users);
-  for (size_t g = 0; g < descs->size(); ++g) {
-    HybridBitset members;
-    if ((*ids)[g].size() <= sparse_threshold) {
-      members = HybridBitset::FromSortedIds(num_users, std::move((*ids)[g]));
-    } else {
-      Bitset dense(num_users);
-      for (uint32_t u : (*ids)[g]) dense.Set(u);
-      (*ids)[g] = {};
-      members = HybridBitset::FromBitset(std::move(dense));
-    }
-    VEXUS_RETURN_NOT_OK(AddParsedGroup(&store, g, std::move((*descs)[g]),
-                                       std::move(members)));
-  }
-  return store;
-}
-
-Result<Snapshot> ParseV3(const std::string& buf, uint64_t num_users) {
-  VEXUS_ASSIGN_OR_RETURN(V3Trailer t, ParseV3Trailer(buf, num_users));
-  const size_t S = t.shards.size();
-  const ShardMap map(num_users, S);
-  // CRC every section before parsing any (shard 0's covers the header, same
-  // rationale as v2's groups CRC).
-  for (size_t s = 0; s < S; ++s) {
-    const V3ShardEntry& e = t.shards[s];
-    const uint32_t crc = s == 0 ? Crc32(buf.data(), e.offset + e.len)
-                                : Crc32(buf.data() + e.offset, e.len);
-    if (crc != e.crc) {
-      return Status::Corruption("shard " + std::to_string(s) +
-                                " section checksum mismatch");
-    }
-  }
-  if (Crc32(buf.data() + t.postings_offset, t.postings_len) !=
-      t.postings_crc) {
-    return Status::Corruption("postings section checksum mismatch");
-  }
-
-  uint64_t num_groups = 0;
-  std::vector<std::vector<mining::Descriptor>> descs;
-  std::vector<std::vector<uint32_t>> ids;
-  for (size_t s = 0; s < S; ++s) {
-    VEXUS_RETURN_NOT_OK(ParseShardGroupsSection(
-        buf.data() + t.shards[s].offset, t.shards[s].len, num_users,
-        map.shard(s), /*first=*/s == 0, &num_groups, &descs, &ids));
-  }
-  VEXUS_ASSIGN_OR_RETURN(mining::GroupStore store,
-                         BuildStoreFromShardIds(num_users, &descs, &ids));
-
-  Cursor pcur(buf.data() + t.postings_offset, t.postings_len);
-  std::vector<std::vector<index::Neighbor>> lists;
-  VEXUS_RETURN_NOT_OK(ParsePostings(&pcur, num_groups, &lists));
-  if (pcur.remaining() != 0) {
-    return Status::Corruption("trailing bytes in postings section");
-  }
-  return Snapshot{std::move(store),
-                  index::InvertedIndex::FromPostings(std::move(lists))};
-}
-
 }  // namespace
 
 Status SaveSnapshot(const mining::GroupStore& groups,
@@ -1052,20 +797,12 @@ Status SaveSnapshot(const mining::GroupStore& groups,
     return Status::InvalidArgument(
         "index and group store cover different group sets");
   }
-  if (options.version != kVersionV1 && options.version != kVersionV2) {
-    return Status::InvalidArgument("unsupported snapshot version " +
-                                   std::to_string(options.version));
-  }
   TraceSpan save = span != nullptr ? span->Child("save") : TraceSpan();
-  // num_shards > 1 selects format v3 (per-shard sections); a universe too
-  // small to split clamps back to one shard and stays plain v2/v1, so small
-  // deployments never pay the multi-section trailer.
+  // A universe too small to split clamps back to one section, which is plain
+  // v2, so small deployments never pay the multi-section trailer.
   const ShardMap shards(groups.num_users(),
                         std::max<size_t>(1, options.num_shards));
-  std::string payload =
-      options.version == kVersionV2 && shards.num_shards() > 1
-          ? EncodeSnapshotV3(groups, index, shards)
-          : EncodeSnapshot(groups, index, options.version);
+  std::string payload = EncodeSnapshot(groups, index, shards);
   save.AddCount(payload.size());
   // Simulates silent media corruption between encode and persist: one payload
   // byte is flipped, the write itself "succeeds", and the damage is only
@@ -1088,27 +825,24 @@ Result<Snapshot> LoadSnapshot(const std::string& path, const TraceSpan* span) {
     buf[buf.size() / 2] ^= 0x40;
   }
 
-  if (buf.size() < kHeaderSize) return Truncated();
-  if (std::memcmp(buf.data(), kMagic, 4) != 0) {
-    return Status::Corruption("bad snapshot magic");
+  VEXUS_ASSIGN_OR_RETURN(Layout l, ReadLayout(buf));
+  // Checksum every section before parsing any.
+  VEXUS_RETURN_NOT_OK(VerifyGroupChecksums(buf, l, 0, l.groups.size()));
+  if (Crc32(buf.data() + l.postings.offset, l.postings.len) !=
+      l.postings.crc) {
+    return Status::Corruption("postings section checksum mismatch");
   }
-  Cursor hcur(buf.data() + 4, kHeaderSize - 4);
-  uint32_t version;
-  uint64_t num_users;
-  (void)hcur.ReadU32(&version);
-  (void)hcur.ReadU64(&num_users);
-  if (version != kVersionV1 && version != kVersionV2 &&
-      version != kVersionV3) {
-    return Status::NotSupported("snapshot version " + std::to_string(version) +
-                                " (expected " + std::to_string(kVersionV1) +
-                                ".." + std::to_string(kVersionV3) + ")");
+  VEXUS_ASSIGN_OR_RETURN(mining::GroupStore store,
+                         DecodeGroups(buf, l, 0, l.groups.size()));
+
+  Cursor pcur(buf.data() + l.postings.offset, l.postings.len);
+  std::vector<std::vector<index::Neighbor>> lists;
+  VEXUS_RETURN_NOT_OK(ParsePostings(&pcur, store.size(), &lists));
+  if (pcur.remaining() != 0) {
+    return Status::Corruption("trailing bytes in postings section");
   }
-  if (num_users > (uint64_t{1} << 32)) {
-    return Status::Corruption("user universe exceeds 32-bit user ids");
-  }
-  if (version == kVersionV1) return ParseV1(buf, num_users);
-  if (version == kVersionV2) return ParseV2(buf, num_users);
-  return ParseV3(buf, num_users);
+  return Snapshot{std::move(store),
+                  index::InvertedIndex::FromPostings(std::move(lists))};
 }
 
 Result<SnapshotShard> LoadSnapshotShard(const std::string& path, size_t shard,
@@ -1118,67 +852,20 @@ Result<SnapshotShard> LoadSnapshotShard(const std::string& path, size_t shard,
   VEXUS_ASSIGN_OR_RETURN(std::string buf, ReadFileFully(path));
   load.AddCount(buf.size());
 
-  if (buf.size() < kHeaderSize) return Truncated();
-  if (std::memcmp(buf.data(), kMagic, 4) != 0) {
-    return Status::Corruption("bad snapshot magic");
-  }
-  Cursor hcur(buf.data() + 4, kHeaderSize - 4);
-  uint32_t version;
-  uint64_t num_users;
-  (void)hcur.ReadU32(&version);
-  (void)hcur.ReadU64(&num_users);
-  if (num_users > (uint64_t{1} << 32)) {
-    return Status::Corruption("user universe exceeds 32-bit user ids");
-  }
-
-  if (version == kVersionV1 || version == kVersionV2) {
-    // Single-section formats are "shard 0 of 1": a deployment that never
-    // sharded still cold-starts through the same entry point.
-    if (shard != 0) {
-      return Status::InvalidArgument(
-          "shard index out of range for single-section snapshot");
-    }
-    VEXUS_ASSIGN_OR_RETURN(Snapshot snap, version == kVersionV1
-                                              ? ParseV1(buf, num_users)
-                                              : ParseV2(buf, num_users));
-    return SnapshotShard{/*shard=*/0, /*num_shards=*/1, /*user_begin=*/0,
-                         static_cast<uint32_t>(num_users),
-                         std::move(snap.groups)};
-  }
-  if (version != kVersionV3) {
-    return Status::NotSupported("snapshot version " + std::to_string(version) +
-                                " (expected " + std::to_string(kVersionV1) +
-                                ".." + std::to_string(kVersionV3) + ")");
-  }
-
-  VEXUS_ASSIGN_OR_RETURN(V3Trailer t, ParseV3Trailer(buf, num_users));
-  if (shard >= t.shards.size()) {
+  VEXUS_ASSIGN_OR_RETURN(Layout l, ReadLayout(buf));
+  const size_t num_shards = l.groups.size();
+  if (shard >= num_shards) {
     return Status::InvalidArgument(
         "shard index " + std::to_string(shard) + " out of range (snapshot has " +
-        std::to_string(t.shards.size()) + " shards)");
+        std::to_string(num_shards) + " shards)");
   }
   // Only this shard's section is checksummed — a flipped bit in another
   // shard's section must not block this shard's cold start (tested).
-  const V3ShardEntry& e = t.shards[shard];
-  const uint32_t crc = shard == 0 ? Crc32(buf.data(), e.offset + e.len)
-                                  : Crc32(buf.data() + e.offset, e.len);
-  if (crc != e.crc) {
-    return Status::Corruption("shard " + std::to_string(shard) +
-                              " section checksum mismatch");
-  }
-
-  const ShardMap map(num_users, t.shards.size());
-  const ShardMap::Range& r = map.shard(shard);
-  uint64_t num_groups = 0;
-  std::vector<std::vector<mining::Descriptor>> descs;
-  std::vector<std::vector<uint32_t>> ids;
-  VEXUS_RETURN_NOT_OK(ParseShardGroupsSection(buf.data() + e.offset, e.len,
-                                              num_users, r, /*first=*/true,
-                                              &num_groups, &descs, &ids));
+  VEXUS_RETURN_NOT_OK(VerifyGroupChecksums(buf, l, shard, shard + 1));
   VEXUS_ASSIGN_OR_RETURN(mining::GroupStore store,
-                         BuildStoreFromShardIds(num_users, &descs, &ids));
-  return SnapshotShard{shard, t.shards.size(), r.user_begin, r.user_end,
-                       std::move(store)};
+                         DecodeGroups(buf, l, shard, shard + 1));
+  return SnapshotShard{shard, num_shards, l.map.shard(shard).user_begin,
+                       l.map.shard(shard).user_end, std::move(store)};
 }
 
 namespace internal {

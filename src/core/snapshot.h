@@ -6,42 +6,58 @@
 // InvertedIndex serialize to one versioned binary file, so a deployment
 // mines once and serves many exploration sessions. At the paper's
 // BOOKCROSSING scale (278,858 users) cold start must be seconds, not
-// minutes — which is why v2 stores members as compact blocks instead of one
-// u32 per member per group, and why load validates checksums before
-// trusting a single length field.
+// minutes — which is why the format stores members as compact blocks
+// instead of one u32 per member per group, and why load validates checksums
+// before trusting a single length field.
 //
-// Format v2 (little-endian throughout):
+// Layout (little-endian throughout): header, S group sections, a postings
+// section, and a trailer that names every section. S = 1 is format v2, the
+// one-section case; S > 1 (SnapshotSaveOptions::num_shards) is v3.
 //
-//   header   magic "VXSN" | u32 version=2 | u64 num_users        (16 bytes)
-//   GROUPS section
+//   header   magic "VXSN" | u32 version (2 or 3) | u64 num_users  (16 bytes)
+//   GROUP section, one per shard s of ShardMap(num_users, S)
+//     (common/shard_map.h; S = 1 covers users [0, num_users)):
 //     u64 num_groups
 //     per group: u32 desc_len, desc_len × (u32 attr, u32 value),
-//                u64 member_count, u8 encoding,
+//                u64 member_count (members inside the section's range),
+//                u8 encoding,
 //                encoding 0 (sparse):  member_count × uvarint deltas
 //                                      (first = id₀, then idᵢ − idᵢ₋₁;
 //                                      strictly ascending, so deltas ≥ 1)
-//                encoding 1 (raw):     ceil(num_users/64) × u64 bitset words
+//                encoding 1 (raw):     the range's words, ceil(range/64) ×
+//                                      u64 bitset words
 //     The writer picks per group whichever encoding is smaller: dense groups
-//     (≳ num_users/20 members) become raw words loaded with one memcpy;
-//     sparse groups become varint deltas (~1–2 bytes/member vs v1's 4).
+//     (≳ 1/8 density) become raw words loaded with one memcpy; sparse
+//     groups become varint deltas (~1–2 bytes/member). Every section repeats
+//     the descriptors, so one shard's section loads without any other.
 //   POSTINGS section
 //     u64 num_lists (== num_groups)
 //     per list: u32 len, len × (u32 group, f32 similarity)
-//   trailer (fixed 48 bytes at EOF)
+//   trailer, v2 (fixed 48 bytes at EOF)
 //     u64 groups_offset | u64 groups_len |
 //     u64 postings_offset | u64 postings_len |
-//     u32 groups_crc (CRC-32C of bytes [0, groups_offset + groups_len) —
-//                     the header rides along so a flipped num_users bit is
-//                     caught here, not by a far-away range check) |
-//     u32 postings_crc (CRC-32C of the postings section) |
+//     u32 groups_crc | u32 postings_crc |
 //     u32 trailer_crc (CRC-32C of the preceding 40 bytes) | magic "VXTR"
+//   trailer, v3 (36·S + 36 bytes at EOF)
+//     S × (u64 offset | u64 len | u64 user_begin | u64 user_end | u32 crc) |
+//     u64 postings_offset | u64 postings_len | u32 postings_crc |
+//     u64 S | u32 trailer_crc (CRC-32C of the preceding bytes) | magic "VXTR"
 //
-// Load reads the trailer first, checks that the two sections tile the file
-// exactly (so appended garbage or a truncated tail fails before parsing),
-// verifies each section's CRC-32C (common/crc32.h), then parses from the
-// in-memory buffer. v1 snapshots (one u32 per member, no checksums) are
-// still read behind the version switch; SaveOptions::version can write them
-// for comparison benchmarks.
+// Group section 0's CRC-32C (common/crc32.h) covers bytes [0, end of the
+// section) — the header rides along, so a flipped num_users bit is caught
+// there, not by a far-away range check. Every other section's CRC covers
+// its own bytes.
+//
+// Load reads the v2 trailer as a one-entry v3 section table, then runs one
+// path for both versions: the trailer's magic and CRC, sections that tile
+// the file exactly (so appended garbage or a truncated tail fails before
+// parsing), section ranges that match ShardMap(num_users, S), the section
+// CRCs, and one group-section decoder. The full load folds the sections
+// back into exactly the store that was saved (shard member sets are
+// disjoint); LoadSnapshotShard checks and decodes one section only, so a
+// flipped bit in one shard's section leaves every other shard loadable.
+// Format v1 (one u32 per member, no checksums) is no longer read: it loads
+// as NotSupported.
 //
 // Durability: SaveSnapshot writes path + ".tmp", fsyncs the tmp file,
 // renames it over `path`, then fsyncs the parent directory — so a crash at
@@ -51,20 +67,6 @@
 // Corruption (truncation, bad magic, checksum mismatch, duplicate member
 // ids, out-of-range references, trailing bytes) is detected on load and
 // reported as Status::Corruption.
-//
-// Format v3 (SnapshotSaveOptions::num_shards > 1; ROADMAP item 2) replaces
-// the single GROUPS section with one *self-contained* section per horizontal
-// shard of the user universe (common/shard_map.h): shard s's section holds,
-// for every group, the descriptors plus the members that fall inside the
-// shard's word-aligned user range (same sparse-delta/raw-words encoding,
-// raw blocks spanning only the shard's words). The variable trailer gains a
-// per-shard entry (offset | len | user_begin | user_end | CRC-32C), so a
-// shard server can cold-start from just its own section via
-// LoadSnapshotShard — and a flipped bit in one shard's section leaves every
-// other shard loadable. Shard member sets are disjoint by construction, so
-// the full-file load folds them back into exactly the store that was saved.
-// Saving with num_shards == 1 (or a universe too small to split) writes
-// plain v2, byte-identical to before.
 #pragma once
 
 #include <string>
@@ -82,19 +84,14 @@ struct Snapshot {
 };
 
 struct SnapshotSaveOptions {
-  /// Format version to write. 2 (default) = checksummed block format above;
-  /// 1 = the legacy per-member-u32 format, kept so the cold-start bench can
-  /// compare and so fleets mid-upgrade can still produce old snapshots.
-  uint32_t version = 2;
   /// fsync the tmp file before the rename and the parent directory after it
   /// (the crash-durability protocol). Tests may disable to avoid hammering
   /// slow CI disks; production callers should not.
   bool sync = true;
-  /// Horizontal shard count over the user universe. > 1 writes format v3
-  /// with one independently checksummed group section per shard (see the
-  /// format comment above); 1 — or a universe with fewer bitset words than
-  /// shards, which clamps — keeps the single-section v2/v1 output
-  /// byte-identical to before this option existed. Ignored for version 1.
+  /// Horizontal shard count over the user universe: the number of group
+  /// sections. 1 writes format v2; > 1 writes v3 with one independently
+  /// checksummed group section per shard. A universe with fewer bitset
+  /// words than shards clamps, down to plain v2 at one word.
   size_t num_shards = 1;
 };
 
@@ -120,18 +117,19 @@ Status SaveSnapshot(const mining::GroupStore& groups,
                     const SnapshotSaveOptions& options = {},
                     const TraceSpan* span = nullptr);
 
-/// Loads a snapshot written by SaveSnapshot (either version). Corruption on
-/// malformed input, NotSupported on a future format version. `span`, when
-/// non-null, gets a "load" child span whose count is the byte size read.
+/// Loads a snapshot written by SaveSnapshot (v2 or v3). Corruption on
+/// malformed input, NotSupported on any other format version (v1 included).
+/// `span`, when non-null, gets a "load" child span whose count is the byte
+/// size read.
 Result<Snapshot> LoadSnapshot(const std::string& path,
                               const TraceSpan* span = nullptr);
 
 /// Loads a single shard's group section from a v3 snapshot, verifying only
 /// that section's CRC (plus the trailer's) — corruption elsewhere in the
-/// file does not block this shard's cold start. v1/v2 files are accepted for
-/// shard 0 of 1 (the whole store), so callers need not special-case
-/// single-section deployments. Corruption / InvalidArgument (shard index out
-/// of range) on failure.
+/// file does not block this shard's cold start. A v2 file is shard 0 of 1
+/// (the whole store), so callers need not special-case single-section
+/// deployments. Corruption / InvalidArgument (shard index out of range) on
+/// failure.
 Result<SnapshotShard> LoadSnapshotShard(const std::string& path, size_t shard,
                                         const TraceSpan* span = nullptr);
 

@@ -56,6 +56,13 @@ TEST(ShardMapTest, ClampsShardCountToWordCount) {
   EXPECT_EQ(zero.shard(0).num_words(), 0u);
 }
 
+TEST(ShardMapTest, UniverseBeyond32BitIdsIsFatal) {
+  // Range bounds are uint32_t; the largest 32-bit universe keeps its tail.
+  ShardMap largest(0xffffffffu, 2);
+  EXPECT_EQ(largest.shard(1).user_end, 0xffffffffu);
+  ASSERT_DEATH({ ShardMap too_big(size_t{1} << 32, 1); }, "32-bit user ids");
+}
+
 Bitset RandomBitset(size_t universe, double density, Rng* rng) {
   Bitset b(universe);
   for (size_t i = 0; i < universe; ++i) {

@@ -10,6 +10,7 @@
 
 #include "common/crc32.h"
 #include "common/random.h"
+#include "common/shard_map.h"
 #include "core/session.h"
 #include "data/generators/bookcrossing_gen.h"
 #include "mining/discovery.h"
@@ -137,16 +138,21 @@ TEST(SnapshotTest, TruncationIsCorruption) {
 TEST(SnapshotTest, FutureVersionIsNotSupported) {
   SnapshotWorld w;
   std::string path = w.TempPath("version");
-  ASSERT_TRUE(SaveSnapshot(w.discovery->groups, *w.index, path).ok());
-  // Bump the version field (bytes 4..7).
-  std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
-  f.seekp(4);
-  char v99[4] = {99, 0, 0, 0};
-  f.write(v99, 4);
-  f.close();
-  auto r = LoadSnapshot(path);
-  EXPECT_FALSE(r.ok());
-  EXPECT_TRUE(r.status().IsNotSupported());
+  // A future version, and the retired per-member-u32 format v1.
+  for (char version : {char{99}, char{1}}) {
+    ASSERT_TRUE(SaveSnapshot(w.discovery->groups, *w.index, path).ok());
+    // Overwrite the version field (bytes 4..7).
+    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+    f.seekp(4);
+    char v[4] = {version, 0, 0, 0};
+    f.write(v, 4);
+    f.close();
+    auto r = LoadSnapshot(path);
+    EXPECT_FALSE(r.ok()) << "version " << int{version};
+    EXPECT_TRUE(r.status().IsNotSupported()) << r.status().ToString();
+    auto shard = LoadSnapshotShard(path, 0);
+    EXPECT_TRUE(shard.status().IsNotSupported()) << shard.status().ToString();
+  }
   std::remove(path.c_str());
 }
 
@@ -158,7 +164,7 @@ TEST(SnapshotTest, MismatchedInputsRejected) {
 }
 
 // ---------------------------------------------------------------------------
-// v1 ↔ v2 equivalence and encoding edge cases
+// Encoding edge cases
 // ---------------------------------------------------------------------------
 
 std::string TempPath(const char* name) {
@@ -208,42 +214,6 @@ std::pair<mining::GroupStore, index::InvertedIndex> MixedWorld(
   return {std::move(store), index::InvertedIndex::FromPostings(lists)};
 }
 
-TEST(SnapshotFormatTest, V1AndV2LoadIdentically) {
-  auto [store, index] = MixedWorld(1000);
-  std::string p1 = TempPath("fmt_v1");
-  std::string p2 = TempPath("fmt_v2");
-  SnapshotSaveOptions v1opts;
-  v1opts.version = 1;
-  ASSERT_TRUE(SaveSnapshot(store, index, p1, v1opts).ok());
-  ASSERT_TRUE(SaveSnapshot(store, index, p2).ok());
-
-  auto l1 = LoadSnapshot(p1);
-  auto l2 = LoadSnapshot(p2);
-  ASSERT_TRUE(l1.ok()) << l1.status().ToString();
-  ASSERT_TRUE(l2.ok()) << l2.status().ToString();
-  ExpectStoresEqual(store, l1->groups);
-  ExpectStoresEqual(store, l2->groups);
-  ExpectStoresEqual(l1->groups, l2->groups);
-  ASSERT_EQ(l1->index.num_groups(), l2->index.num_groups());
-  for (mining::GroupId g = 0; g < store.size(); ++g) {
-    const auto& la = l1->index.Neighbors(g);
-    const auto& lb = l2->index.Neighbors(g);
-    ASSERT_EQ(la.size(), lb.size());
-    for (size_t i = 0; i < la.size(); ++i) {
-      EXPECT_EQ(la[i].group, lb[i].group);
-      EXPECT_FLOAT_EQ(la[i].similarity, lb[i].similarity);
-    }
-  }
-  // v2 must actually be smaller — the dense groups become raw words, the
-  // sparse ones varint deltas, both beating 4 bytes/member.
-  struct ::stat s1, s2;
-  ASSERT_EQ(::stat(p1.c_str(), &s1), 0);
-  ASSERT_EQ(::stat(p2.c_str(), &s2), 0);
-  EXPECT_LT(s2.st_size, s1.st_size);
-  std::remove(p1.c_str());
-  std::remove(p2.c_str());
-}
-
 TEST(SnapshotFormatTest, PropertyRandomStoresRoundTripBothVersions) {
   Rng rng(20260806);
   for (int trial = 0; trial < 12; ++trial) {
@@ -285,15 +255,17 @@ TEST(SnapshotFormatTest, PropertyRandomStoresRoundTripBothVersions) {
     }
     index::InvertedIndex index = index::InvertedIndex::FromPostings(lists);
 
-    for (uint32_t version : {1u, 2u}) {
+    // One section (v2) and sectioned files (v3); universes under 128 or
+    // 256 users clamp to fewer sections.
+    for (size_t num_shards : {1, 2, 4}) {
       std::string path = TempPath("property");
       SnapshotSaveOptions opts;
-      opts.version = version;
+      opts.num_shards = num_shards;
       opts.sync = false;
       ASSERT_TRUE(SaveSnapshot(store, index, path, opts).ok());
       auto loaded = LoadSnapshot(path);
       ASSERT_TRUE(loaded.ok())
-          << "trial " << trial << " v" << version << ": "
+          << "trial " << trial << " S=" << num_shards << ": "
           << loaded.status().ToString();
       ExpectStoresEqual(store, loaded->groups);
       ASSERT_EQ(loaded->index.num_groups(), store.size());
@@ -359,6 +331,54 @@ std::string MakeV2File(uint64_t num_users, const std::string& groups_sec,
   trailer.append("VXTR", 4);
   buf.append(trailer);
   return buf;
+}
+
+/// The v3 twin of MakeV2File: one group section per ShardMap shard, with
+/// the trailer's ranges and CRCs right (section 0's CRC covers the header).
+std::string MakeV3File(uint64_t num_users,
+                       const std::vector<std::string>& sections,
+                       const std::string& postings_sec) {
+  const ShardMap map(num_users, sections.size());
+  std::string buf;
+  buf.append("VXSN", 4);
+  AppendU32(&buf, 3);
+  AppendU64(&buf, num_users);
+  std::string trailer;
+  for (size_t s = 0; s < sections.size(); ++s) {
+    const size_t offset = buf.size();
+    buf.append(sections[s]);
+    AppendU64(&trailer, offset);
+    AppendU64(&trailer, sections[s].size());
+    AppendU64(&trailer, map.shard(s).user_begin);
+    AppendU64(&trailer, map.shard(s).user_end);
+    AppendU32(&trailer, s == 0 ? Crc32(buf.data(), buf.size())
+                               : Crc32(buf.data() + offset, sections[s].size()));
+  }
+  AppendU64(&trailer, buf.size());
+  AppendU64(&trailer, postings_sec.size());
+  AppendU32(&trailer, Crc32(postings_sec.data(), postings_sec.size()));
+  buf.append(postings_sec);
+  AppendU64(&trailer, sections.size());
+  AppendU32(&trailer, Crc32(trailer.data(), trailer.size()));
+  trailer.append("VXTR", 4);
+  buf.append(trailer);
+  return buf;
+}
+
+/// A one-group section: `desc_attr` as the only descriptor, sparse members.
+std::string OneGroupSection(uint32_t desc_attr,
+                            const std::vector<uint32_t>& ids) {
+  std::string sec;
+  AppendU64(&sec, 1);
+  AppendU32(&sec, 1);
+  AppendU32(&sec, desc_attr);
+  AppendU32(&sec, 0);
+  AppendU64(&sec, ids.size());
+  AppendU8(&sec, 0);
+  for (size_t i = 0; i < ids.size(); ++i) {
+    AppendVarint(&sec, i == 0 ? ids[i] : ids[i] - ids[i - 1]);
+  }
+  return sec;
 }
 
 std::string EmptyPostings(uint64_t num_groups) {
@@ -444,43 +464,75 @@ TEST(SnapshotFormatTest, UnknownEncodingIsCorruption) {
   EXPECT_TRUE(r.status().IsCorruption());
 }
 
-TEST(SnapshotFormatTest, DuplicateMemberIdInV1IsCorruption) {
-  // v1 has no checksums, so the duplicate-id check is its only defence.
-  std::string buf;
-  buf.append("VXSN", 4);
-  AppendU32(&buf, 1);
-  AppendU64(&buf, 10);  // num_users
-  AppendU64(&buf, 1);   // num_groups
-  AppendU32(&buf, 0);   // desc_len
-  AppendU64(&buf, 2);   // member_count
-  AppendU32(&buf, 5);
-  AppendU32(&buf, 5);  // repeated member id
-  AppendU64(&buf, 1);  // num_lists
-  AppendU32(&buf, 0);  // empty posting list
-  auto r = LoadBytes(buf, "dupv1");
+TEST(SnapshotFormatTest, SparseDeltaWrapIsCorruption) {
+  // Deltas {5, 2^64 - 1}: added to 5 the second wraps to 4, back inside the
+  // universe, and would hand an unsorted id array to the sparse form.
+  std::string groups;
+  AppendU64(&groups, 1);
+  AppendU32(&groups, 0);
+  AppendU64(&groups, 2);
+  AppendU8(&groups, 0);
+  AppendVarint(&groups, 5);
+  AppendVarint(&groups, ~uint64_t{0});
+  auto r = LoadBytes(MakeV2File(10, groups, EmptyPostings(1)), "deltawrap");
   ASSERT_FALSE(r.ok());
-  EXPECT_TRUE(r.status().IsCorruption());
-  EXPECT_NE(r.status().ToString().find("duplicate member"), std::string::npos)
-      << r.status().ToString();
+  EXPECT_TRUE(r.status().IsCorruption()) << r.status().ToString();
+}
+
+TEST(SnapshotFormatTest, UniverseBeyond32BitIdsIsCorruption) {
+  // User ids are 32-bit: ShardMap ranges and SnapshotShard store user_end as
+  // uint32_t, so a 2^32-user universe would narrow to [0, 0).
+  std::string groups;
+  AppendU64(&groups, 0);  // no groups: nothing else in the file is wrong
+  const std::string too_big =
+      MakeV2File(uint64_t{1} << 32, groups, EmptyPostings(0));
+  auto r = LoadBytes(too_big, "universe32");
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(r.status().IsCorruption()) << r.status().ToString();
+  std::string path = TempPath("universe32_shard");
+  {
+    std::ofstream out(path, std::ios::binary);
+    out.write(too_big.data(), static_cast<std::streamsize>(too_big.size()));
+  }
+  auto shard = LoadSnapshotShard(path, 0);
+  ASSERT_FALSE(shard.ok()) << "users [" << shard->user_begin << ", "
+                           << shard->user_end << ")";
+  EXPECT_TRUE(shard.status().IsCorruption()) << shard.status().ToString();
+
+  // The largest 32-bit universe still loads, with its full range.
+  const uint64_t max_users = uint64_t{0xffffffff};
+  const std::string largest = MakeV2File(max_users, groups, EmptyPostings(0));
+  {
+    std::ofstream out(path, std::ios::binary);
+    out.write(largest.data(), static_cast<std::streamsize>(largest.size()));
+  }
+  auto full = LoadSnapshotShard(path, 0);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  EXPECT_EQ(full->user_begin, 0u);
+  EXPECT_EQ(full->user_end, max_users);
+  std::remove(path.c_str());
 }
 
 TEST(SnapshotFormatTest, TrailingGarbageIsCorruptionBothVersions) {
   auto [store, index] = MixedWorld(200);
-  for (uint32_t version : {1u, 2u}) {
+  for (size_t num_shards : {1, 2, 4}) {
     std::string path = TempPath("garbage");
     SnapshotSaveOptions opts;
-    opts.version = version;
+    opts.num_shards = num_shards;
     opts.sync = false;
     ASSERT_TRUE(SaveSnapshot(store, index, path, opts).ok());
     {
       std::ofstream out(path, std::ios::binary | std::ios::app);
       out << "extra";
     }
-    // Pre-fix the v1 loader stopped at the last posting list and reported
-    // success on a file with unread bytes.
+    // A loader that stops at the last posting list would report success on
+    // a file with unread bytes.
     auto r = LoadSnapshot(path);
-    ASSERT_FALSE(r.ok()) << "v" << version;
-    EXPECT_TRUE(r.status().IsCorruption()) << "v" << version;
+    ASSERT_FALSE(r.ok()) << "S=" << num_shards;
+    EXPECT_TRUE(r.status().IsCorruption()) << "S=" << num_shards;
+    auto shard = LoadSnapshotShard(path, 0);
+    ASSERT_FALSE(shard.ok()) << "S=" << num_shards;
+    EXPECT_TRUE(shard.status().IsCorruption()) << "S=" << num_shards;
     std::remove(path.c_str());
   }
 }
@@ -633,6 +685,37 @@ TEST(SnapshotShardedTest, SingleShardOptionStaysByteIdenticalV2) {
   std::remove(pc.c_str());
 }
 
+TEST(SnapshotShardedTest, WriterBytesArePinned) {
+  // The exact bytes one writer version emits for a fixed store, so a writer
+  // rewrite cannot change the on-disk format unnoticed: S = 1 is v2, S > 1
+  // is v3 (the 1000-user universe is 16 words, enough for 4 sections).
+  struct Golden {
+    size_t num_shards;
+    unsigned version;
+    size_t bytes;
+    uint32_t crc;
+  };
+  auto [store, index] = MixedWorld(1000);
+  for (const Golden& want : {Golden{1, 2, 498, 0x0abc5b40},
+                             Golden{2, 3, 664, 0xbae7e38d},
+                             Golden{4, 3, 948, 0xdce1209a}}) {
+    std::string path = TempPath("golden");
+    SnapshotSaveOptions opts;
+    opts.sync = false;
+    opts.num_shards = want.num_shards;
+    ASSERT_TRUE(SaveSnapshot(store, index, path, opts).ok());
+    const std::string file = ReadWholeFile(path);
+    std::remove(path.c_str());
+    ASSERT_GE(file.size(), 16u);
+    EXPECT_EQ(static_cast<unsigned char>(file[4]), want.version)
+        << "S=" << want.num_shards;
+    EXPECT_EQ(file.size(), want.bytes) << "S=" << want.num_shards;
+    EXPECT_EQ(Crc32(file.data(), file.size()), want.crc)
+        << "S=" << want.num_shards << std::hex << " crc 0x"
+        << Crc32(file.data(), file.size());
+  }
+}
+
 TEST(SnapshotShardedTest, ShardLoadRestrictsMembersToOwnedRange) {
   auto [store, index] = MixedWorld(1000);
   std::string path = TempPath("shardload");
@@ -690,6 +773,50 @@ TEST(SnapshotShardedTest, ShardLoaderAcceptsV2AsSingleShard) {
   EXPECT_EQ(shard->user_end, 400u);
   ExpectStoresEqual(store, shard->groups);
   EXPECT_TRUE(LoadSnapshotShard(path, 1).status().IsInvalidArgument());
+  std::remove(path.c_str());
+}
+
+TEST(SnapshotShardedTest, MalformedSectionsAreCorruption) {
+  // Checksums right, content evil: 128 users split into [0, 64) and
+  // [64, 128). Section CRCs cannot catch a broken writer, the decoder must.
+  const std::string good = OneGroupSection(1, {70});
+  std::string path = TempPath("malformed_v3");
+  const auto write = [&](const std::string& bytes) {
+    std::ofstream out(path, std::ios::binary);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  };
+
+  // Sanity: the well-formed file loads, member 70 in shard 1.
+  write(MakeV3File(128, {OneGroupSection(1, {3}), good}, EmptyPostings(1)));
+  auto ok = LoadSnapshot(path);
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_EQ(ok->groups.group(0).members().ToVector(),
+            (std::vector<uint32_t>{3, 70}));
+
+  // Section 1 lists member 5, which shard 0 owns.
+  write(MakeV3File(128, {OneGroupSection(1, {3}), OneGroupSection(1, {5})},
+                   EmptyPostings(1)));
+  EXPECT_TRUE(LoadSnapshot(path).status().IsCorruption());
+  EXPECT_TRUE(LoadSnapshotShard(path, 1).status().IsCorruption());
+  EXPECT_TRUE(LoadSnapshotShard(path, 0).ok());
+
+  // Sections that disagree on the group count or on the descriptors.
+  std::string two_groups;
+  AppendU64(&two_groups, 2);
+  for (uint32_t attr : {1u, 2u}) {
+    AppendU32(&two_groups, 1);
+    AppendU32(&two_groups, attr);
+    AppendU32(&two_groups, 0);
+    AppendU64(&two_groups, 0);
+    AppendU8(&two_groups, 0);
+  }
+  for (const std::string& second : {two_groups, OneGroupSection(9, {70})}) {
+    write(MakeV3File(128, {OneGroupSection(1, {3}), second},
+                     EmptyPostings(1)));
+    auto r = LoadSnapshot(path);
+    ASSERT_FALSE(r.ok());
+    EXPECT_TRUE(r.status().IsCorruption()) << r.status().ToString();
+  }
   std::remove(path.c_str());
 }
 
