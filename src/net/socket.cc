@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <fcntl.h>
 #include <netdb.h>
@@ -44,6 +45,38 @@ Status SetNoDelay(int fd) {
     return ErrnoStatus("setsockopt(TCP_NODELAY)", errno);
   }
   return Status::OK();
+}
+
+Result<HostPort> ParseHostPort(const std::string& target) {
+  const Status invalid = Status::InvalidArgument(
+      "'" + target + "' is not host:port (non-empty host, [v6-literal]:port, "
+      "port 1..65535)");
+  HostPort out;
+  std::string port_text;
+  if (!target.empty() && target.front() == '[') {
+    // Bracketed literal: the separator is the colon right after ']'.
+    const size_t close = target.find(']');
+    if (close == std::string::npos || close + 1 >= target.size() ||
+        target[close + 1] != ':') {
+      return invalid;
+    }
+    out.host = target.substr(1, close - 1);
+    port_text = target.substr(close + 2);
+  } else {
+    const size_t colon = target.rfind(':');
+    if (colon == std::string::npos) return invalid;
+    out.host = target.substr(0, colon);
+    port_text = target.substr(colon + 1);
+  }
+  if (out.host.empty() || port_text.empty() ||
+      port_text.find_first_not_of("0123456789") != std::string::npos) {
+    return invalid;
+  }
+  // Digits only, so overflow is the one failure: ULONG_MAX, out of range.
+  const unsigned long port = std::strtoul(port_text.c_str(), nullptr, 10);
+  if (port == 0 || port > 65535) return invalid;
+  out.port = static_cast<uint16_t>(port);
+  return out;
 }
 
 Result<sockaddr_in> ResolveHost(const std::string& host, uint16_t port) {
@@ -109,7 +142,7 @@ Result<Fd> ListenTcp(const std::string& host, uint16_t port, int backlog,
     }
     *bound_port = ntohs(actual.sin_port);
   }
-  return std::move(fd);
+  return fd;
 }
 
 Result<Fd> ConnectTcp(const std::string& host, uint16_t port,
@@ -159,7 +192,7 @@ Result<Fd> ConnectTcp(const std::string& host, uint16_t port,
     return ErrnoStatus("fcntl(clear O_NONBLOCK)", errno);
   }
   VEXUS_RETURN_NOT_OK(SetNoDelay(fd.get()));
-  return std::move(fd);
+  return fd;
 }
 
 Result<std::pair<Fd, Fd>> NonBlockingSocketPair() {

@@ -74,6 +74,20 @@ Status SetNoDelay(int fd);
 Result<Fd> ListenTcp(const std::string& host, uint16_t port, int backlog,
                      uint16_t* bound_port, bool reuseport = false);
 
+/// A "host:port" target split into its parts.
+struct HostPort {
+  std::string host;
+  uint16_t port = 0;
+};
+
+/// Parses a "host:port" target: HOST must be non-empty, an IPv6 literal
+/// takes the bracketed form "[::1]:9090" (the colons inside belong to the
+/// address; the brackets are stripped), and PORT is decimal 1..65535.
+/// Anything else is InvalidArgument naming the target. Syntax only: the
+/// caller resolves the host, and ResolveHost is IPv4-only, so a bracketed
+/// literal parses here and then fails there.
+Result<HostPort> ParseHostPort(const std::string& target);
+
 /// Resolves `host` to an IPv4 socket address. Numeric dotted-quads go
 /// through inet_pton (never blocks, never consults the resolver); anything
 /// else falls back to getaddrinfo(AF_INET), so "localhost" and DNS names

@@ -588,7 +588,7 @@ void TcpServer::EventLoop::Tick() {
   for (auto& [id, entry] : conns) {
     Connection* conn = entry.conn.get();
     double stall = conn->write_stall_ms();
-    if (stall > 0 && server->options_.overload_write_stall_signal) {
+    if (stall > 0) {
       // A response aging in a write buffer is end-to-end queueing the
       // dispatcher cannot see; feed it to the same CoDel signal as this
       // loop's own source. Min-over-window semantics mean one stalled

@@ -95,9 +95,6 @@ struct TcpServerOptions {
   double tick_ms = 100;
   /// Force-close window of the drain sequence.
   double drain_timeout_ms = 10'000;
-  /// Report write-buffer stall ages to the overload controller as per-loop
-  /// queue delay sources (see the Overload note above).
-  bool overload_write_stall_signal = true;
   /// SO_SNDBUF for accepted sockets; 0 keeps the kernel default. Setting it
   /// locks out kernel autotuning (which otherwise grows send buffers to
   /// megabytes), so the slow-client tests can fill the userspace write

@@ -114,8 +114,8 @@ class CircuitBreaker {
 
 /// One shard backend as the coordinator sees it: a blocking call with a
 /// millisecond budget. Implementations: net::ShardClient (TCP with
-/// reconnect + hedging), in-process adapters (selftest), scripted stubs
-/// (gather_test). Calls for different shards run concurrently; the
+/// reconnect + hedging), in-process adapters (gather_chaos_test), scripted
+/// stubs (gather_test). Calls for different shards run concurrently; the
 /// coordinator never calls one shard's transport from two threads at once.
 class ShardTransport {
  public:

@@ -149,33 +149,26 @@ Status ExplorationService::WarmFromSnapshot(const std::string& path) {
 }
 
 std::future<Response> ExplorationService::Dispatch(Request req) {
+  auto promise = std::make_shared<std::promise<Response>>();
+  std::future<Response> future = promise->get_future();
+  DispatchAsync(std::move(req), [promise](Response resp) {
+    promise->set_value(std::move(resp));
+  });
+  return future;
+}
+
+void ExplorationService::DispatchAsync(Request req,
+                                       Dispatcher::Completion done) {
   // Health probes are answered inline, never queued: an orchestrator must
   // be able to tell "overloaded" from "dead", which requires the probe to
   // bypass the very queue whose congestion it reports (and to never be
   // shed by the ladder it observes).
   if (req.type == RequestType::kHealth) {
-    std::promise<Response> ready;
-    ready.set_value(DoHealth(req));
-    return ready.get_future();
-  }
-  // shard_info is probe-class (the gather coordinator's breaker probe):
-  // inline for the same reason as health.
-  if (req.type == RequestType::kShardInfo) {
-    std::promise<Response> ready;
-    ready.set_value(DoShardInfo(req));
-    return ready.get_future();
-  }
-  return dispatcher_->Submit(std::move(req));
-}
-
-void ExplorationService::DispatchAsync(Request req,
-                                       Dispatcher::Completion done) {
-  // Same health-probe bypass as Dispatch(): answered inline, never queued,
-  // never shed (see the comment there).
-  if (req.type == RequestType::kHealth) {
     done(DoHealth(req));
     return;
   }
+  // shard_info is probe-class (the gather coordinator's breaker probe):
+  // inline for the same reason as health.
   if (req.type == RequestType::kShardInfo) {
     done(DoShardInfo(req));
     return;
@@ -219,11 +212,11 @@ Response ExplorationService::Execute(const Request& req,
     case RequestType::kWarmFromSnapshot:
       return DoWarmFromSnapshot(req, span);
     case RequestType::kHealth:
-      // Normally intercepted by Dispatch(); kept here so a health request
-      // routed through the dispatcher directly still answers.
+      // Normally intercepted by DispatchAsync(); kept here so a health
+      // request routed through the dispatcher directly still answers.
       return DoHealth(req);
     case RequestType::kShardInfo:
-      // Likewise normally inlined by Dispatch/DispatchAsync.
+      // Likewise normally inlined by DispatchAsync.
       return DoShardInfo(req);
     case RequestType::kEvalPartial:
       return DoEvalPartial(req, deadline);
@@ -359,14 +352,57 @@ void ExplorationService::FillScreen(const core::GreedySelection& selection,
   resp->greedy_deadline_hit = selection.deadline_hit;
 }
 
+void ExplorationService::RunScreen(core::ExplorationSession& session,
+                                   std::optional<mining::GroupId> select,
+                                   const Deadline& deadline, TraceSpan& span,
+                                   Response* resp) {
+  // Overload ladder (DESIGN.md §12): rungs 1–2 shrink this request's greedy
+  // effort / candidate cap / k. The greedy loop may use at most what is
+  // left of the request's end-to-end budget, and the trace pointer lives
+  // for this request only — the span dies with the request, the session
+  // does not.
+  const OverloadRung rung = dispatcher_->overload().rung();
+  const OverloadOptions& oopts = dispatcher_->overload().options();
+  core::SessionOptions& live = session.mutable_options();
+  const core::GreedyOptions configured = live.greedy;
+  double effective_limit = configured.time_limit_ms;
+  if (rung >= OverloadRung::kShrinkEffort) {
+    effective_limit *= oopts.effort_factor;
+    if (oopts.degraded_candidate_cap > 0) {
+      live.greedy.initial_candidate_cap =
+          std::min(live.greedy.initial_candidate_cap,
+                   static_cast<size_t>(oopts.degraded_candidate_cap));
+    }
+    resp->degraded = "effort";
+  }
+  if (rung >= OverloadRung::kReduceK) {
+    live.greedy.k =
+        std::min(live.greedy.k, static_cast<size_t>(oopts.degraded_k));
+    resp->degraded = "k";  // deepest applied rung wins the flag
+  }
+  live.greedy.time_limit_ms =
+      std::min(effective_limit, deadline.RemainingMillis());
+  live.greedy.trace = span.enabled() ? &span : nullptr;
+  FillScreen(select.has_value() ? session.SelectGroup(*select)
+                                : session.Start(),
+             resp, /*fresh_run=*/true, span);
+  live.greedy = configured;  // the explorer's own options survive
+  live.greedy.trace = nullptr;
+  if (resp->degraded.has_value()) {
+    if (*resp->degraded == "partial") {
+      metrics_.RecordDegradedPartial();
+    } else if (*resp->degraded == "k") {
+      metrics_.RecordDegradedK();
+    } else {
+      metrics_.RecordDegradedEffort();
+    }
+  }
+}
+
 Response ExplorationService::DoStartSession(const Request& req,
                                             const Deadline& deadline,
                                             TraceSpan& span) {
   core::SessionOptions opts = options_.session_template;
-  // Overload ladder (DESIGN.md §12): a new session has no cached screen to
-  // serve stale, so start_session degrades at most to the reduce-k rung.
-  const OverloadRung rung = dispatcher_->overload().rung();
-  const OverloadOptions& oopts = dispatcher_->overload().options();
   if (req.k.has_value()) {
     if (*req.k == 0 || *req.k > kMaxScreenK) {
       return ErrorResponse(
@@ -404,43 +440,9 @@ Response ExplorationService::DoStartSession(const Request& req,
         "budget exhausted before the initial screen was computed");
     return resp;
   }
-  // Remaining-budget clamp: the initial screen's greedy loop may use at
-  // most what is left of the request's end-to-end budget. The trace pointer
-  // is set for this request only and restored with the time limit — the
-  // span dies with the request, the session does not. The overload ladder
-  // degrades *this request's* effort/k the same way: the session keeps the
-  // explorer's requested options for when the overload passes.
-  core::SessionOptions& live = l->mutable_options();
-  double effective_limit = opts.greedy.time_limit_ms;
-  if (rung >= OverloadRung::kShrinkEffort) {
-    effective_limit *= oopts.effort_factor;
-    if (oopts.degraded_candidate_cap > 0) {
-      live.greedy.initial_candidate_cap =
-          std::min(live.greedy.initial_candidate_cap,
-                   static_cast<size_t>(oopts.degraded_candidate_cap));
-    }
-    resp.degraded = "effort";
-  }
-  if (rung >= OverloadRung::kReduceK) {
-    live.greedy.k =
-        std::min(live.greedy.k, static_cast<size_t>(oopts.degraded_k));
-    resp.degraded = "k";  // deepest applied rung wins the flag
-  }
-  live.greedy.time_limit_ms =
-      std::min(effective_limit, deadline.RemainingMillis());
-  live.greedy.trace = span.enabled() ? &span : nullptr;
-  FillScreen(l->Start(), &resp, /*fresh_run=*/true, span);
-  live.greedy = opts.greedy;  // restore the explorer's requested options
-  live.greedy.trace = nullptr;
-  if (resp.degraded.has_value()) {
-    if (*resp.degraded == "partial") {
-      metrics_.RecordDegradedPartial();
-    } else if (*resp.degraded == "k") {
-      metrics_.RecordDegradedK();
-    } else {
-      metrics_.RecordDegradedEffort();
-    }
-  }
+  // A new session has no cached screen to serve stale, so start_session
+  // degrades at most to the reduce-k rung.
+  RunScreen(*l, std::nullopt, deadline, span, &resp);
   resp.step = 0;
   resp.num_steps = l->NumSteps();
   return resp;
@@ -491,51 +493,25 @@ Response ExplorationService::DoSessionOp(const Request& req,
             std::to_string(store.size()) + ")");
         return resp;
       }
+      // A start_session that ran out of budget after admitting the session
+      // left it without a first screen: there is nothing to click on.
+      if (l->NumSteps() == 0) {
+        resp.status = Status::FailedPrecondition(
+            "session has no screen yet: its start_session ran out of budget");
+        return resp;
+      }
       // Overload ladder (DESIGN.md §12). Rung 3 (stale): answer the
       // session's *cached* current screen without running greedy or
       // learning — the explorer sees an instant, slightly stale response
-      // flagged degraded:"stale" instead of a shed. Rungs 1–2 shrink this
-      // request's greedy effort / k; the session's own options survive.
-      const OverloadRung rung = dispatcher_->overload().rung();
-      const OverloadOptions& oopts = dispatcher_->overload().options();
-      if (rung >= OverloadRung::kStale && l->NumSteps() > 0) {
+      // flagged degraded:"stale" instead of a shed. Rungs 1–2 are applied
+      // in RunScreen.
+      if (dispatcher_->overload().rung() >= OverloadRung::kStale) {
         FillScreen(l->Current(), &resp, /*fresh_run=*/false, span);
         resp.degraded = "stale";
         metrics_.RecordDegradedStale();
         break;
       }
-      core::SessionOptions& live = l->mutable_options();
-      const core::GreedyOptions configured = live.greedy;
-      double effective_limit = configured.time_limit_ms;
-      if (rung >= OverloadRung::kShrinkEffort) {
-        effective_limit *= oopts.effort_factor;
-        if (oopts.degraded_candidate_cap > 0) {
-          live.greedy.initial_candidate_cap =
-              std::min(live.greedy.initial_candidate_cap,
-                       static_cast<size_t>(oopts.degraded_candidate_cap));
-        }
-        resp.degraded = "effort";
-      }
-      if (rung >= OverloadRung::kReduceK) {
-        live.greedy.k =
-            std::min(live.greedy.k, static_cast<size_t>(oopts.degraded_k));
-        resp.degraded = "k";  // deepest applied rung wins the flag
-      }
-      live.greedy.time_limit_ms =
-          std::min(effective_limit, deadline.RemainingMillis());
-      live.greedy.trace = span.enabled() ? &span : nullptr;
-      FillScreen(l->SelectGroup(*req.group), &resp, /*fresh_run=*/true, span);
-      live.greedy = configured;  // undo the per-request clamp + degradation
-      live.greedy.trace = nullptr;
-      if (resp.degraded.has_value()) {
-        if (*resp.degraded == "partial") {
-          metrics_.RecordDegradedPartial();
-        } else if (*resp.degraded == "k") {
-          metrics_.RecordDegradedK();
-        } else {
-          metrics_.RecordDegradedEffort();
-        }
-      }
+      RunScreen(*l, *req.group, deadline, span, &resp);
       break;
     }
     case RequestType::kBacktrack: {

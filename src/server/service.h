@@ -21,6 +21,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 
 #include "common/thread_pool.h"
@@ -170,7 +171,7 @@ class ExplorationService {
   Response DoGetTrace(const Request& req);
   Response DoWarmFromSnapshot(const Request& req, TraceSpan& span);
   /// Liveness/readiness probe, built from atomics only (no histogram
-  /// serialization). Answered inline by Dispatch() so orchestrator probes
+  /// serialization). Answered inline by DispatchAsync() so orchestrator probes
   /// never queue behind session traffic and are never shed.
   Response DoHealth(const Request& req);
   /// Shard-backend ops (DESIGN.md §16). eval_partial runs on a worker with
@@ -190,6 +191,16 @@ class ExplorationService {
   /// (backtrack) pass false so a screen is only accounted once.
   void FillScreen(const core::GreedySelection& selection, Response* resp,
                   bool fresh_run, const TraceSpan& span);
+
+  /// Runs one fresh greedy screen for start_session (`select` unset) or
+  /// select_group (`select` = the clicked group) under the overload ladder's
+  /// effort / reduce-k rungs and the request's remaining budget, fills
+  /// `resp`, and counts a degraded answer. The session's greedy options are
+  /// captured on entry and restored afterwards: degradation and the budget
+  /// clamp belong to this request only.
+  void RunScreen(core::ExplorationSession& session,
+                 std::optional<mining::GroupId> select,
+                 const Deadline& deadline, TraceSpan& span, Response* resp);
 
   const core::VexusEngine* engine_;  // null while cold
   ServiceOptions options_;

@@ -1,7 +1,7 @@
-// Multi-box scatter-gather integration tests (ISSUE 10 acceptance,
-// DESIGN.md §16) — in-process transports, real everything else: real
+// Multi-box scatter-gather integration tests (DESIGN.md §16) — real
 // snapshot round-trip into shard-backend services, real GatherCoordinator
-// with retry/backoff/breaker, real greedy sessions on the coordinator.
+// with retry/backoff/breaker, real greedy sessions on the coordinator, which
+// reaches its backends in-process or (the *OverTcp cases) over loopback TCP.
 //
 // The invariants:
 //   * identity    — a healthy S-shard fleet answers byte-identically to the
@@ -30,6 +30,8 @@
 #include "core/engine.h"
 #include "core/snapshot.h"
 #include "data/generators/bookcrossing_gen.h"
+#include "net/shard_client.h"
+#include "net/tcp_server.h"
 #include "server/gather.h"
 #include "server/service.h"
 
@@ -89,6 +91,9 @@ class LocalTransport : public ShardTransport {
   std::atomic<uint64_t> resets_{0};
 };
 
+/// How the coordinator reaches its shard backends.
+enum class Transport { kInProcess, kTcp };
+
 class GatherChaosTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -121,16 +126,57 @@ class GatherChaosTest : public ::testing::Test {
 
   /// Saves an S-shard v3 snapshot and cold-starts one backend service per
   /// section. `generations[s]` (when provided) builds shard s with that
-  /// store generation — the stale-shard leg.
+  /// store generation — the stale-shard leg. Over TCP each backend sits
+  /// behind its own one-loop TcpServer on an ephemeral loopback port.
   struct Fleet {
     std::vector<std::unique_ptr<ExplorationService>> backends;
-    std::vector<LocalTransport*> transports;  // borrowed, coordinator owns
+    std::vector<LocalTransport*> transports;  // in-process; coordinator owns
+    std::vector<std::unique_ptr<net::TcpServer>> servers;  // TCP only
+    std::vector<uint16_t> ports;                           // TCP only
     std::unique_ptr<ExplorationService> coordinator;
+
+    /// The box vanishes; over TCP its server drains and is destroyed.
+    void Kill(size_t s) {
+      if (servers.empty()) {
+        transports[s]->Kill();
+        return;
+      }
+      servers[s]->RequestDrain();
+      servers[s]->Drain();
+      servers[s].reset();
+    }
+
+    /// The box comes back; over TCP a new server rebinds the old port.
+    bool Revive(size_t s) {
+      if (servers.empty()) {
+        transports[s]->Revive();
+        return true;
+      }
+      for (int attempt = 0; attempt < 50; ++attempt) {
+        servers[s] = StartServer(backends[s].get(), ports[s]);
+        if (servers[s] != nullptr) return true;
+        std::this_thread::sleep_for(std::chrono::milliseconds(100));
+      }
+      return false;
+    }
   };
+
+  /// A started one-loop loopback server for `backend`, or null when `port`
+  /// cannot be bound.
+  static std::unique_ptr<net::TcpServer> StartServer(
+      ExplorationService* backend, uint16_t port) {
+    net::TcpServerOptions nopts;
+    nopts.port = port;
+    nopts.num_loops = 1;
+    auto server = std::make_unique<net::TcpServer>(backend, nopts);
+    if (!server->Start().ok()) return nullptr;
+    return server;
+  }
 
   Fleet MakeFleet(size_t num_shards,
                   std::vector<uint64_t> generations = {},
-                  ServiceOptions coordinator_opts = SessionOptions()) {
+                  ServiceOptions coordinator_opts = SessionOptions(),
+                  Transport transport = Transport::kInProcess) {
     const std::string path = ::testing::TempDir() + "gather_chaos_s" +
                              std::to_string(num_shards) + ".snap";
     core::SnapshotSaveOptions save;
@@ -151,10 +197,18 @@ class GatherChaosTest : public ::testing::Test {
           s < generations.size() ? generations[s] : kGeneration;
       fleet.backends.push_back(std::make_unique<ExplorationService>(
           std::move(shard).ValueOrDie(), gen, bopts));
-      auto transport = std::make_unique<LocalTransport>(
+      if (transport == Transport::kTcp) {
+        fleet.servers.push_back(StartServer(fleet.backends.back().get(), 0));
+        EXPECT_NE(fleet.servers.back(), nullptr) << "backend " << s;
+        fleet.ports.push_back(fleet.servers.back()->port());
+        transports.push_back(std::make_unique<net::ShardClient>(
+            "127.0.0.1", fleet.ports.back()));
+        continue;
+      }
+      auto local = std::make_unique<LocalTransport>(
           fleet.backends.back().get(), "local-shard-" + std::to_string(s));
-      fleet.transports.push_back(transport.get());
-      transports.push_back(std::move(transport));
+      fleet.transports.push_back(local.get());
+      transports.push_back(std::move(local));
     }
     std::remove(path.c_str());  // sections are in memory now
 
@@ -168,6 +222,124 @@ class GatherChaosTest : public ::testing::Test {
     fleet.coordinator->ConfigureGather(std::make_unique<GatherCoordinator>(
         std::move(transports), gopts));
     return fleet;
+  }
+
+  /// Byte-identity: gathered screens vs the plain single-process run over
+  /// a 3-step walk.
+  void CheckHealthyFleetIsByteIdenticalToLocal(Transport transport) {
+    // The fold, not the overload ladder or the anytime deadline, is under
+    // test: sanitizer builds stretch gather laps past the ladder's 5 ms
+    // target (its effort rung would flag healthy screens "degraded"), and
+    // a TSan build over TCP needs over 500 ms to converge.
+    ServiceOptions opts = SessionOptions();
+    opts.dispatcher.overload.enabled = false;
+    opts.session_template.greedy.time_limit_ms = 10'000;
+    opts.dispatcher.default_budget_ms = 20'000;
+    for (size_t num_shards : {2u, 4u}) {
+      Fleet fleet = MakeFleet(num_shards, {}, opts, transport);
+      ExplorationService plain(engine_, opts);
+
+      const std::string sid = "identity-" + std::to_string(num_shards);
+      Response g = Start(*fleet.coordinator, sid);
+      Response p = Start(plain, sid);
+      for (int step = 0; step < 4; ++step) {
+        ASSERT_TRUE(g.status.ok()) << g.status.ToString();
+        ASSERT_TRUE(p.status.ok()) << p.status.ToString();
+        EXPECT_FALSE(g.degraded.has_value())
+            << "healthy fleet degraded: " << *g.degraded << " covered "
+            << g.covered_fraction.value_or(-1) << " after "
+            << g.elapsed_ms << " ms";
+        // Identity is exact — same group ids, bit-equal quality doubles.
+        EXPECT_EQ(Ids(g), Ids(p))
+            << "shards=" << num_shards << " step=" << step;
+        EXPECT_EQ(g.coverage, p.coverage);
+        EXPECT_EQ(g.diversity, p.diversity);
+        if (step == 3 || g.groups.empty()) break;
+        const uint32_t pick = g.groups[step % g.groups.size()].id;
+        g = Select(*fleet.coordinator, sid, pick);
+        p = Select(plain, sid, pick);
+      }
+    }
+  }
+
+  /// Kill a backend mid-storm: every request still completes — ok
+  /// (possibly degraded:"partial" with covered_fraction < 1) or a clean
+  /// overload code — and the dead shard's breaker opens. Revival + probes
+  /// restore coverage.
+  void CheckKilledBackendDegradesThenRecovers(Transport transport) {
+    // The breaker, not the ladder, is under test: slow laps (sanitizers over
+    // TCP) hold it at reduce-k, whose degraded:"k" hides a recovered screen.
+    ServiceOptions opts = SessionOptions();
+    opts.dispatcher.overload.enabled = false;
+    Fleet fleet = MakeFleet(2, {}, opts, transport);
+    std::atomic<uint64_t> completed{0}, degraded_partial{0}, bad{0};
+    std::atomic<bool> killed{false};
+
+    const int kThreads = 3, kSessions = 6;
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (int i = 0; i < kSessions; ++i) {
+          // The second half of each thread's storm waits for the kill, so
+          // it lands mid-storm however the threads are scheduled.
+          while (i == kSessions / 2 && !killed.load()) {
+            std::this_thread::yield();
+          }
+          const std::string sid =
+              "storm-" + std::to_string(t) + "-" + std::to_string(i);
+          Response resp = Start(*fleet.coordinator, sid);
+          if (resp.status.ok() && !resp.groups.empty()) {
+            resp = Select(*fleet.coordinator, sid, resp.groups[0].id);
+          }
+          completed.fetch_add(1);
+          if (resp.status.ok()) {
+            if (resp.degraded.has_value() && *resp.degraded == "partial") {
+              degraded_partial.fetch_add(1);
+              if (!resp.covered_fraction.has_value() ||
+                  *resp.covered_fraction >= 1.0 ||
+                  *resp.covered_fraction <= 0.0) {
+                bad.fetch_add(1);
+              }
+            }
+          } else if (resp.status.code() != StatusCode::kResourceExhausted &&
+                     resp.status.code() != StatusCode::kDeadlineExceeded) {
+            bad.fetch_add(1);  // faults must degrade, not leak backend errors
+          }
+        }
+      });
+    }
+    while (completed.load() == 0) std::this_thread::yield();
+    fleet.Kill(0);
+    killed.store(true);
+    for (auto& th : threads) th.join();
+
+    EXPECT_EQ(completed.load(),
+              static_cast<uint64_t>(kThreads) * kSessions);  // zero hangs
+    EXPECT_EQ(bad.load(), 0u);
+    EXPECT_GT(degraded_partial.load(), 0u) << "kill was never observed";
+    if (transport == Transport::kInProcess) {
+      EXPECT_GT(fleet.transports[0]->resets(), 0u);
+    }
+
+    auto membership = fleet.coordinator->gather()->Membership();
+    ASSERT_EQ(membership.size(), 2u);
+    EXPECT_GT(membership[0].failed_laps, 0u);
+
+    // Recovery: revive, let the breaker cool down, probe, and expect a
+    // full-coverage answer again.
+    ASSERT_TRUE(fleet.Revive(0)) << "could not rebind the killed backend";
+    bool recovered = false;
+    Response resp;
+    for (int i = 0; i < 100 && !recovered; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(25));
+      fleet.coordinator->gather()->ProbeShards();
+      resp = Start(*fleet.coordinator, "recovered-" + std::to_string(i));
+      recovered = resp.status.ok() && !resp.degraded.has_value();
+    }
+    EXPECT_TRUE(recovered) << "fleet never returned to full coverage: "
+                           << resp.degraded.value_or(resp.status.ToString());
+    auto after = fleet.coordinator->gather()->Membership();
+    EXPECT_EQ(after[0].state, server::CircuitBreaker::State::kClosed);
   }
 
   static Response Start(ExplorationService& svc, const std::string& id) {
@@ -198,101 +370,20 @@ class GatherChaosTest : public ::testing::Test {
 
 core::VexusEngine* GatherChaosTest::engine_ = nullptr;
 
-/// Byte-identity: gathered screens vs the plain single-process run over a
-/// 3-step walk.
 TEST_F(GatherChaosTest, HealthyFleetIsByteIdenticalToLocal) {
-  // The fold, not the overload ladder, is under test: sanitizer builds
-  // stretch gather laps past the ladder's 5 ms target, and the effort rung
-  // that follows would flag a healthy fleet's screens "degraded" on timing
-  // alone.
-  ServiceOptions opts = SessionOptions();
-  opts.dispatcher.overload.enabled = false;
-  for (size_t num_shards : {2u, 4u}) {
-    Fleet fleet = MakeFleet(num_shards, {}, opts);
-    ExplorationService plain(engine_, opts);
-
-    const std::string sid = "identity-" + std::to_string(num_shards);
-    Response g = Start(*fleet.coordinator, sid);
-    Response p = Start(plain, sid);
-    for (int step = 0; step < 4; ++step) {
-      ASSERT_TRUE(g.status.ok()) << g.status.ToString();
-      ASSERT_TRUE(p.status.ok()) << p.status.ToString();
-      EXPECT_FALSE(g.degraded.has_value())
-          << "healthy fleet degraded: " << *g.degraded;
-      // Identity is exact — same group ids, bit-equal quality doubles.
-      EXPECT_EQ(Ids(g), Ids(p)) << "shards=" << num_shards << " step=" << step;
-      EXPECT_EQ(g.coverage, p.coverage);
-      EXPECT_EQ(g.diversity, p.diversity);
-      if (step == 3 || g.groups.empty()) break;
-      const uint32_t pick = g.groups[step % g.groups.size()].id;
-      g = Select(*fleet.coordinator, sid, pick);
-      p = Select(plain, sid, pick);
-    }
-  }
+  CheckHealthyFleetIsByteIdenticalToLocal(Transport::kInProcess);
 }
 
-/// Kill a backend mid-storm: every request still completes — ok (possibly
-/// degraded:"partial" with covered_fraction < 1) or a clean overload code —
-/// and the dead shard's breaker opens. Revival + probes restore coverage.
+TEST_F(GatherChaosTest, HealthyFleetIsByteIdenticalToLocalOverTcp) {
+  CheckHealthyFleetIsByteIdenticalToLocal(Transport::kTcp);
+}
+
 TEST_F(GatherChaosTest, KilledBackendDegradesThenRecovers) {
-  Fleet fleet = MakeFleet(2);
-  std::atomic<uint64_t> completed{0}, degraded_partial{0}, bad{0};
+  CheckKilledBackendDegradesThenRecovers(Transport::kInProcess);
+}
 
-  const int kThreads = 3, kSessions = 6;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (int i = 0; i < kSessions; ++i) {
-        const std::string sid =
-            "storm-" + std::to_string(t) + "-" + std::to_string(i);
-        Response resp = Start(*fleet.coordinator, sid);
-        if (resp.status.ok() && !resp.groups.empty()) {
-          resp = Select(*fleet.coordinator, sid, resp.groups[0].id);
-        }
-        completed.fetch_add(1);
-        if (resp.status.ok()) {
-          if (resp.degraded.has_value() && *resp.degraded == "partial") {
-            degraded_partial.fetch_add(1);
-            if (!resp.covered_fraction.has_value() ||
-                *resp.covered_fraction >= 1.0 ||
-                *resp.covered_fraction <= 0.0) {
-              bad.fetch_add(1);
-            }
-          }
-        } else if (resp.status.code() != StatusCode::kResourceExhausted &&
-                   resp.status.code() != StatusCode::kDeadlineExceeded) {
-          bad.fetch_add(1);  // faults must degrade, not leak backend errors
-        }
-      }
-    });
-  }
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  fleet.transports[0]->Kill();
-  for (auto& th : threads) th.join();
-
-  EXPECT_EQ(completed.load(),
-            static_cast<uint64_t>(kThreads) * kSessions);  // zero hangs
-  EXPECT_EQ(bad.load(), 0u);
-  EXPECT_GT(degraded_partial.load(), 0u) << "kill was never observed";
-  EXPECT_GT(fleet.transports[0]->resets(), 0u);
-
-  auto membership = fleet.coordinator->gather()->Membership();
-  ASSERT_EQ(membership.size(), 2u);
-  EXPECT_GT(membership[0].failed_laps, 0u);
-
-  // Recovery: revive, let the breaker cool down, probe, and expect a
-  // full-coverage answer again.
-  fleet.transports[0]->Revive();
-  bool recovered = false;
-  for (int i = 0; i < 100 && !recovered; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(25));
-    fleet.coordinator->gather()->ProbeShards();
-    Response resp = Start(*fleet.coordinator, "recovered-" + std::to_string(i));
-    recovered = resp.status.ok() && !resp.degraded.has_value();
-  }
-  EXPECT_TRUE(recovered) << "fleet never returned to full coverage";
-  auto after = fleet.coordinator->gather()->Membership();
-  EXPECT_EQ(after[0].state, server::CircuitBreaker::State::kClosed);
+TEST_F(GatherChaosTest, KilledBackendDegradesThenRecoversOverTcp) {
+  CheckKilledBackendDegradesThenRecovers(Transport::kTcp);
 }
 
 /// Stall chaos: every other eval_partial burns most of the lap budget. The

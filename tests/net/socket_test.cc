@@ -63,6 +63,40 @@ TEST(ResolveHostTest, GarbageHostFailsWithInvalidArgument) {
   EXPECT_FALSE(ResolveHost("300.0.0.1.", 1).ok());
 }
 
+/// The one host:port parser behind service_repl --connect and each
+/// vexus_server --backends entry.
+TEST(ParseHostPortTest, SplitsValidTargetsAndRejectsEverythingElse) {
+  struct Case {
+    const char* target;
+    const char* host;  // null: rejected
+    uint16_t port;
+  };
+  const Case cases[] = {
+      {"127.0.0.1:7801", "127.0.0.1", 7801},
+      {"localhost:65535", "localhost", 65535},
+      {"[::1]:9090", "::1", 9090},  // brackets stripped
+      {":8080", nullptr, 0},        // empty host
+      {"[::1]", nullptr, 0},        // bracketed literal, no port
+      {"127.0.0.1:http", nullptr, 0},
+      {"127.0.0.1", nullptr, 0},
+      {"", nullptr, 0},             // empty --backends entry
+      {"127.0.0.1:0", nullptr, 0},
+      {"127.0.0.1:65536", nullptr, 0},
+      {"127.0.0.1:99999999999999999999", nullptr, 0},
+      {"127.0.0.1:7801,", nullptr, 0},  // trailing comma
+  };
+  for (const Case& c : cases) {
+    auto parsed = ParseHostPort(c.target);
+    ASSERT_EQ(parsed.ok(), c.host != nullptr) << "'" << c.target << "'";
+    if (!parsed.ok()) {
+      EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+      continue;
+    }
+    EXPECT_EQ(parsed->host, c.host);
+    EXPECT_EQ(parsed->port, c.port);
+  }
+}
+
 /// A listener whose accept queue is intentionally full: backlog 1, never
 /// accepted. Loopback connects beyond the queue get their SYN dropped, so
 /// the client-side connect stays in progress — the deterministic stall the

@@ -370,6 +370,22 @@ TEST_F(ServiceTest, ZeroBudgetIsDeadlineExceededWithoutTouchingGreedy) {
   EXPECT_EQ(s.ok, 0u);
 }
 
+TEST_F(ServiceTest, StartThatRanOutAfterAdmissionLeavesNothingToClick) {
+  ExplorationService svc(engine_, FastOptions());
+  failpoint::Policy stall;  // the lease wait outlasts the request budget
+  stall.code = StatusCode::kOk;
+  stall.sleep_ms = 250;
+  Request late = Start("late");
+  late.budget_ms = 100;
+  {
+    failpoint::ScopedFailpoint fp("session_manager.acquire", stall);
+    ASSERT_TRUE(svc.Call(late).status.IsDeadlineExceeded());
+  }
+  // The session was admitted but never got a first screen.
+  Response click = svc.Call(Select("late", 0));
+  EXPECT_EQ(click.status.code(), StatusCode::kFailedPrecondition);
+}
+
 TEST_F(ServiceTest, NegativeBudgetAlsoExpiresImmediately) {
   ExplorationService svc(engine_, FastOptions());
   Request req = Start("hurried2");
@@ -1038,12 +1054,14 @@ TEST_F(ServiceTest, LadderShrinkEffortAndReduceKDegradeOnlyTheRequest) {
   ASSERT_FALSE(started.groups.empty());
   EXPECT_FALSE(started.degraded.has_value());
 
-  // Rung 1: same op succeeds, flagged degraded:"effort".
+  // Rung 1: a click and a new session succeed, flagged degraded:"effort".
   svc.dispatcher().overload().ForceRungForTesting(OverloadRung::kShrinkEffort);
   Response effort = svc.Call(Select("laddered", started.groups[0].id));
   ASSERT_TRUE(effort.status.ok()) << effort.status.ToString();
   ASSERT_TRUE(effort.degraded.has_value());
   EXPECT_EQ(*effort.degraded, "effort");
+  Response effort_start = svc.Call(Start("started-at-effort"));
+  EXPECT_EQ(effort_start.degraded.value_or("none"), "effort");
 
   // Rung 2: k clamps to degraded_k for this request only.
   svc.dispatcher().overload().ForceRungForTesting(OverloadRung::kReduceK);
@@ -1054,19 +1072,25 @@ TEST_F(ServiceTest, LadderShrinkEffortAndReduceKDegradeOnlyTheRequest) {
   size_t degraded_k =
       svc.dispatcher().overload().options().degraded_k;
   EXPECT_LE(reduced.groups.size(), degraded_k);
+  Response k_start = svc.Call(Start("started-at-k"));
+  EXPECT_EQ(k_start.degraded.value_or("none"), "k");
+  EXPECT_LE(k_start.groups.size(), degraded_k);
 
-  // Back to normal: the session's own k was preserved, not the clamp.
+  // Back to normal: each session's own k survived, even one started clamped.
   svc.dispatcher().overload().ForceRungForTesting(OverloadRung::kNormal);
   Response healed = svc.Call(Select("laddered", reduced.groups[0].id));
   ASSERT_TRUE(healed.status.ok()) << healed.status.ToString();
   EXPECT_FALSE(healed.degraded.has_value());
   EXPECT_GT(healed.groups.size(), degraded_k)
       << "degraded k stuck to the session";
+  Response k_healed = svc.Call(Select("started-at-k", started.groups[0].id));
+  ASSERT_TRUE(k_healed.status.ok()) << k_healed.status.ToString();
+  EXPECT_GT(k_healed.groups.size(), degraded_k);
 
   MetricsSnapshot snap = svc.Stats();
-  EXPECT_EQ(snap.degraded_effort, 1u);
-  EXPECT_EQ(snap.degraded_k, 1u);
-  EXPECT_EQ(snap.DegradedTotal(), 2u);
+  EXPECT_EQ(snap.degraded_effort, 2u);
+  EXPECT_EQ(snap.degraded_k, 2u);
+  EXPECT_EQ(snap.DegradedTotal(), 4u);
 }
 
 TEST_F(ServiceTest, LadderStaleRungReplaysTheCachedScreen) {
